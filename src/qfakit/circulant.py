@@ -5,6 +5,11 @@ first_row[(j - i) mod n]: each row is the previous one rotated right.
 Products, adjoints, and powers all stay in first-row space; the dense
 expansion exists for interfacing with generic matrix code and for test
 oracles, never for the algebra itself.
+
+The algebra runs on numpy arrays.  A product is a direct cyclic
+convolution (np.convolve, then the tail folded onto the head), not an
+FFT: at the orders used here it is as fast, and it multiplies rows of
+0/1 entries bit-exactly, so permutation powers hit the identity with ==.
 """
 
 from __future__ import annotations
@@ -16,14 +21,12 @@ from typing import Iterator
 
 import numpy as np
 
+from .modular import unit_phases
+
 _DEFAULT_TOL = 1e-9
 # Tolerance for re-deriving the phase law of a sparse circulant from its
 # entries: per-entry mismatch relative to the common modulus.
 _PHASE_FIT_TOL = 1e-8
-
-
-def _unit_phase(numerator: int, n: int) -> complex:
-    return cmath.exp(2j * math.pi * (numerator % n) / n)
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,13 @@ class ShiftMatrix:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"order must be positive, got {self.n}")
-        if len(self.first_row) != self.n:
-            raise ValueError(
-                f"first row has {len(self.first_row)} entries, expected {self.n}"
-            )
-        object.__setattr__(self, "first_row", tuple(complex(x) for x in self.first_row))
+        row = np.asarray(self.first_row, dtype=complex)
+        if row.shape != (self.n,):
+            raise ValueError(f"first row has shape {row.shape}, expected ({self.n},)")
+        object.__setattr__(self, "first_row", tuple(row.tolist()))
+
+    def _array(self) -> np.ndarray:
+        return np.array(self.first_row, dtype=complex)
 
     @classmethod
     def identity(cls, n: int) -> ShiftMatrix:
@@ -56,16 +61,16 @@ class ShiftMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"order mismatch: {self.n} vs {other.n}")
-        a, b, n = self.first_row, other.first_row, self.n
-        row = tuple(
-            sum(a[j] * b[(i - j) % n] for j in range(n)) for i in range(n)
-        )
+        n = self.n
+        full = np.convolve(self._array(), other._array())
+        row = full[:n]
+        row[: n - 1] += full[n:]
         return ShiftMatrix(n, row)
 
     def conj_transpose(self) -> ShiftMatrix:
         """Adjoint; again a circulant, with row j holding conj(row[-j])."""
-        a, n = self.first_row, self.n
-        return ShiftMatrix(n, tuple(a[(n - j) % n].conjugate() for j in range(n)))
+        n = self.n
+        return ShiftMatrix(n, self._array()[-np.arange(n) % n].conj())
 
     def power(self, s: int) -> ShiftMatrix:
         """s-th power by iterated multiplication, s >= 0."""
@@ -78,18 +83,14 @@ class ShiftMatrix:
 
     def is_unitary(self, tol: float = _DEFAULT_TOL) -> bool:
         """Check A @ A.conj_transpose() == identity entrywise within tol."""
-        prod = (self @ self.conj_transpose()).first_row
-        err = max(
-            abs(prod[i] - (1 if i == 0 else 0)) for i in range(self.n)
-        )
-        return err <= tol
+        prod = (self @ self.conj_transpose())._array()
+        prod[0] -= 1
+        return bool(np.abs(prod).max() <= tol)
 
     def to_dense(self) -> np.ndarray:
-        row, n = self.first_row, self.n
-        return np.array(
-            [[row[(j - i) % n] for j in range(n)] for i in range(n)],
-            dtype=complex,
-        )
+        index = np.arange(self.n)
+        # entry (i, j) is row[(j - i) mod n]
+        return self._array()[-np.subtract.outer(index, index) % self.n]
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,7 +112,8 @@ def quadratic_phase_circulant(n: int) -> ShiftMatrix:
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     scale = 1.0 / math.sqrt(n)
-    return ShiftMatrix(n, tuple(scale * _unit_phase(j * j, n) for j in range(n)))
+    j = np.arange(n, dtype=np.int64)
+    return ShiftMatrix(n, scale * unit_phases(j * j % n, n))
 
 
 def cyclic_shift_circulant(n: int) -> ShiftMatrix:
@@ -153,10 +155,10 @@ class SpecialShiftProfile:
     def reconstruct(self) -> ShiftMatrix:
         """Rebuild the circulant this profile describes."""
         n = self.n
-        row = [0j] * n
-        for j in range(self.g):
-            row[j * self.l] = self.c * _unit_phase(self.k * self.l * j * j, n)
-        return ShiftMatrix(n, tuple(row))
+        j = np.arange(self.g, dtype=np.int64)
+        row = np.zeros(n, dtype=complex)
+        row[:: self.l] = self.c * unit_phases((self.k * self.l % n) * (j * j % n), n)
+        return ShiftMatrix(n, row)
 
 
 def classify_special(a: ShiftMatrix, tol: float = _DEFAULT_TOL) -> SpecialShiftProfile | None:
@@ -169,29 +171,29 @@ def classify_special(a: ShiftMatrix, tol: float = _DEFAULT_TOL) -> SpecialShiftP
     against every surviving entry.  Any mismatch, a zero matrix, or a
     vanishing entry 0 means the matrix is not of this form.
     """
-    row, n = a.first_row, a.n
-    peak = max(abs(x) for x in row)
+    row, n = a._array(), a.n
+    magnitude = np.abs(row)
+    peak = magnitude.max()
     if peak == 0.0:
         return None
     threshold = tol * peak
-    if abs(row[0]) <= threshold:
+    if magnitude[0] <= threshold:
         return None
-    support = {j for j in range(n) if abs(row[j]) > threshold}
-    nonzero = sorted(support - {0})
-    l = nonzero[0] if nonzero else n
+    support = np.flatnonzero(magnitude > threshold)
+    l = int(support[1]) if support.size > 1 else n
     if n % l != 0:
         return None
     g = n // l
-    if support != {j * l for j in range(g)}:
+    if not np.array_equal(support, np.arange(0, n, l)):
         return None
-    c = row[0]
+    c = a.first_row[0]
     if g == 1:
         k = 0
     else:
         # One entry pins k: arg(a_l / c) = 2*pi * k*l / n = 2*pi * k / g.
-        k = round(cmath.phase(row[l] / c) * g / (2 * math.pi)) % g
-    for j in range(g):
-        predicted = c * _unit_phase(k * l * j * j, n)
-        if abs(row[j * l] - predicted) > _PHASE_FIT_TOL * abs(c):
-            return None
+        k = round(cmath.phase(a.first_row[l] / c) * g / (2 * math.pi)) % g
+    j = np.arange(g, dtype=np.int64)
+    predicted = c * unit_phases(k * l * (j * j % n), n)
+    if np.abs(row[support] - predicted).max() > _PHASE_FIT_TOL * abs(c):
+        return None
     return SpecialShiftProfile(l, g, k, c)

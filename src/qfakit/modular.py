@@ -1,15 +1,18 @@
 """Exact residue arithmetic and quadratic exponential sums.
 
 Everything here is integer-exact except the exponential sums, which
-accumulate complex doubles term by term in index order.  Residues are
-canonicalized to 0..n-1; negative arguments are reduced before use.
+evaluate all their phases in one numpy call and add them as complex
+doubles.  Residues are canonicalized to 0..n-1; arguments of any size
+or sign are reduced mod n as Python ints before they become int64, so
+nothing overflows or wraps.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def gcd(a: int, b: int) -> int:
@@ -68,10 +71,14 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def _unit_phase(numerator: int, n: int) -> complex:
-    # exp(2*pi*i * numerator / n), with the numerator reduced mod n first
-    # so large arguments lose no precision.
-    return cmath.exp(2j * math.pi * (numerator % n) / n)
+def unit_phases(numerators, n: int) -> np.ndarray:
+    """exp(2*pi*i * numerators / n) elementwise, as a complex array.
+
+    The numerators are reduced mod n before the division so large
+    arguments lose no precision; they must already fit in int64, so
+    callers reduce Python ints mod n first.
+    """
+    return np.exp(2j * np.pi * (np.asarray(numerators, dtype=np.int64) % n) / n)
 
 
 def quad_exp_sum(b: int, t: int, n: int) -> complex:
@@ -81,7 +88,8 @@ def quad_exp_sum(b: int, t: int, n: int) -> complex:
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    return sum(_unit_phase(b * j * j - 2 * j * t, n) for j in range(n))
+    j = np.arange(n, dtype=np.int64)
+    return complex(unit_phases((b % n) * (j * j % n) - 2 * (t % n) * j, n).sum())
 
 
 def shift_invariance_check(c1: int, c2: int, n: int) -> tuple[complex, complex]:
@@ -92,6 +100,9 @@ def shift_invariance_check(c1: int, c2: int, n: int) -> tuple[complex, complex]:
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    lhs = sum(_unit_phase(c1 * j * j, n) for j in range(n))
-    rhs = sum(_unit_phase(c1 * (j + c2) * (j + c2), n) for j in range(n))
-    return lhs, rhs
+    c1 %= n
+    j = np.arange(n, dtype=np.int64)
+    shifted = (j + c2 % n) % n
+    lhs = unit_phases(c1 * (j * j % n), n).sum()
+    rhs = unit_phases(c1 * (shifted * shifted % n), n).sum()
+    return complex(lhs), complex(rhs)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -137,6 +138,24 @@ def test_lemmas_composite(capsys):
     assert by_s[3]["l"] == 3 and by_s[3]["k"] == 1  # p_min power
     assert by_s[9]["l"] == 9
     assert all(row["l"] < 9 for s, row in by_s.items() if s < 9)
+
+
+def test_lemmas_closed_form_at_301():
+    # 301 = 7 * 43: every power s has l = gcd(s, n), g = n / l,
+    # k = (s / l)^-1 mod g, and |x0|^2 = |c|^2 = l / n
+    n = 301
+    report = cli.lemma_report(n)
+    assert report["composite_power_law_ok"] is True
+    assert report["first_entry_bound_ok"] is True
+    assert [row["s"] for row in report["rows"]] == list(range(1, n + 1))
+    for row in report["rows"]:
+        s = row["s"]
+        l = math.gcd(s, n)
+        g = n // l
+        assert row["is_special"] is True, s
+        assert (row["l"], row["g"], row["k"]) == (l, g, pow(s // l, -1, g)), s
+        assert abs(float(row["x0_squared"]) - l / n) < 1e-9, s
+        assert abs(float(row["c_abs"]) - math.sqrt(l / n)) < 1e-9, s
 
 
 def test_lemmas_human_table(capsys):

@@ -158,6 +158,38 @@ def test_quad_exp_sum_nonzero_on_divisor():
     assert abs(abs(s) - math.sqrt(3)) < 1e-12
 
 
+# Multiples of n added to the arguments: past int64 both ways, and one
+# inside int64 whose product with j^2 would wrap if not reduced first.
+HUGE_SHIFTS = [2**64, -(2**64), 2**70 + 2**64, -(3 * 2**66), 2**62]
+
+
+@pytest.mark.parametrize("n", [9, 45])
+def test_quad_exp_sum_reduces_huge_arguments(n):
+    for b in range(-2, 4):
+        for t in range(-2, 4):
+            expected = term_sum(b, t, n)
+            for q in HUGE_SHIFTS:
+                for r in HUGE_SHIFTS:
+                    value = quad_exp_sum(b + q * n, t + r * n, n)
+                    assert abs(value - expected) < 1e-9, (n, b, t, q, r)
+
+
+def test_quad_exp_sum_huge_arguments_vanish():
+    # 2**70 + 1 = 35 and -(2**65) = 13 (mod 45); gcd(35, 45) = 5 does not divide 13
+    assert abs(quad_exp_sum(2**70 + 1, -(2**65), 45)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [9, 45])
+def test_shift_invariance_reduces_huge_arguments(n):
+    for c1 in range(-2, 4):
+        expected = term_sum(c1, 0, n)
+        for q in HUGE_SHIFTS:
+            for c2 in [q + 1, -q - 2, q * n]:
+                lhs, rhs = shift_invariance_check(c1 + q * n, c2, n)
+                assert abs(lhs - expected) < 1e-9, (n, c1, q, c2)
+                assert abs(rhs - expected) < 1e-9, (n, c1, q, c2)
+
+
 def test_shift_invariance_example():
     lhs, rhs = shift_invariance_check(1, 1, 9)
     assert abs(lhs - rhs) <= 1e-10
