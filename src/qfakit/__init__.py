@@ -39,9 +39,11 @@ from .qfa import (
     RIGHT_MARKER,
     QfaSpec,
     RunResult,
+    accept_all_words,
     accept_probability,
     initial_superposition,
     run,
+    run_many,
     run_sampled,
     step,
     validate,
@@ -58,6 +60,7 @@ __all__ = [
     "ShiftMatrix",
     "SpecialShiftProfile",
     "WordStats",
+    "accept_all_words",
     "accept_probability",
     "build_dfa",
     "build_qfa",
@@ -74,6 +77,7 @@ __all__ = [
     "quad_exp_sum",
     "quadratic_phase_circulant",
     "run",
+    "run_many",
     "run_sampled",
     "shift_invariance_check",
     "step",

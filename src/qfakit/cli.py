@@ -37,7 +37,7 @@ from .divisibility import (
     word_stats,
 )
 from .modular import factorize, mod_div
-from .qfa import accept_probability, run
+from .qfa import accept_all_words, run, run_many
 
 PROB_TOL = 1e-9
 SHUFFLE_TOL = 1e-12
@@ -60,10 +60,11 @@ def scan_report(
     """Sweep words and compare acceptance probabilities to the bounds.
 
     Words up to max_len are enumerated exhaustively in length-then-
-    lexicographic order; samples further words with lengths in
-    (max_len, random_max_len] are drawn from a generator seeded with
-    seed.  Members must accept with probability 1, non-members with at
-    most 1/p_min, both within 1e-9.  Each sampled word is also re-run
+    lexicographic order, with each shared prefix simulated once;
+    samples further words with lengths in (max_len, random_max_len] are
+    drawn from a generator seeded with seed and simulated as one batch.
+    Members must accept with probability 1, non-members with at most
+    1/p_min, both within 1e-9.  Each sampled word is also re-run
     under one random permutation of its letters, which must not change
     the probability by more than 1e-12.
     """
@@ -75,9 +76,8 @@ def scan_report(
     counterexamples: list[dict] = []
     words_scanned = 0
 
-    def check(word: str) -> float:
+    def check(word: str, p: float) -> None:
         nonlocal min_member, max_nonmember, words_scanned
-        p = accept_probability(spec, word)
         words_scanned += 1
         if is_member(word, n):
             if min_member is None or p < min_member:
@@ -93,22 +93,25 @@ def scan_report(
                 counterexamples.append(
                     {"kind": "nonmember_bound", "word": word, "p_accept": fmt12(p)}
                 )
-        return p
 
-    for length in range(max_len + 1):
-        for letters in product(ALPHABET, repeat=length):
-            check("".join(letters))
+    for length, probs in enumerate(accept_all_words(spec, max_len)):
+        for letters, p in zip(product(ALPHABET, repeat=length), probs):
+            check("".join(letters), float(p))
 
     rng = random.Random(seed)
     low = max_len + 1
     high = max(random_max_len, low)
-    max_shuffle_delta = 0.0
+    sampled: list[str] = []
     for _ in range(samples):
         length = rng.randint(low, high)
         word = "".join(rng.choice(ALPHABET) for _ in range(length))
-        p = check(word)
-        shuffled = "".join(rng.sample(word, len(word)))
-        delta = abs(p - accept_probability(spec, shuffled))
+        sampled += [word, "".join(rng.sample(word, len(word)))]
+    results = run_many(spec, sampled)
+    max_shuffle_delta = 0.0
+    for word, result, again in zip(sampled[::2], results[::2], results[1::2]):
+        p = result.p_accept
+        check(word, p)
+        delta = abs(p - again.p_accept)
         max_shuffle_delta = max(max_shuffle_delta, delta)
         if delta > SHUFFLE_TOL:
             counterexamples.append(

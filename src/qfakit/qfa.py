@@ -12,13 +12,25 @@ would is provided separately for demonstrations.
 Amplitude vectors are row vectors: unitaries[symbol][i][j] is the
 amplitude for moving from state i to state j, and a step maps psi to
 psi @ U before the observation.
+
+One observation helper serves every simulator.  run() steps a single
+vector; run_many() stacks many words into a (rows x dim) matrix and
+steps them column by column; accept_all_words() walks the prefix tree
+of every word up to a length, so each prefix is stepped once.  The
+batched simulators multiply at most BLOCK_ROWS rows at a time, which
+keeps their memory flat however many words they are given.  Each
+simulator checks that accept + reject + residual stays 1 within
+CONSERVATION_TOL.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,6 +38,12 @@ LEFT_MARKER = "^"
 RIGHT_MARKER = "$"
 
 UNITARY_TOL = 1e-9
+CONSERVATION_TOL = 1e-9
+
+# Rows per matrix product in the batched simulators.  Larger products make
+# the BLAS touch more scratch memory without running faster at the
+# dimensions used here.
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,11 +51,13 @@ class QfaSpec:
     """Static description of a measure-many one-way automaton.
 
     ``unitaries`` must cover the working alphabet: every input symbol
-    plus the two markers.  ``logical_state_count`` optionally records
-    the size of the state set in the source-level description when the
-    realized unitaries use extra basis states (e.g. parallel rejecting
-    channels added to make a many-to-one end-of-input map unitary).
-    ``reject_residual`` makes run() fold any leftover non-halting
+    plus the two markers.  They are stored as read-only complex copies
+    behind a read-only mapping, so a built spec cannot be edited in
+    place.  ``logical_state_count`` optionally records the size of the
+    state set in the source-level description when the realized
+    unitaries use extra basis states (e.g. parallel rejecting channels
+    added to make a many-to-one end-of-input map unitary).
+    ``reject_residual`` makes the simulators fold any leftover non-halting
     probability into rejection, for callers that want a two-outcome
     language recognizer.
     """
@@ -47,9 +67,17 @@ class QfaSpec:
     start: str
     accepting: frozenset[str]
     rejecting: frozenset[str]
-    unitaries: dict[str, np.ndarray]
+    unitaries: Mapping[str, np.ndarray]
     logical_state_count: int | None = None
     reject_residual: bool = False
+
+    def __post_init__(self) -> None:
+        frozen = {}
+        for sym, matrix in self.unitaries.items():
+            copy = np.array(matrix, dtype=complex)
+            copy.flags.writeable = False
+            frozen[sym] = copy
+        object.__setattr__(self, "unitaries", MappingProxyType(frozen))
 
     @property
     def dim(self) -> int:
@@ -75,6 +103,15 @@ class QfaSpec:
     def nonhalting_mask(self) -> np.ndarray:
         return ~(self.accept_mask | self.reject_mask)
 
+    @cached_property
+    def _outcome_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # 0/1 floats for the accepting, rejecting and non-halting states;
+        # products with them are BLAS dot products rather than masked sums.
+        return tuple(
+            mask.astype(float)
+            for mask in (self.accept_mask, self.reject_mask, self.nonhalting_mask)
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "states": list(self.states),
@@ -86,24 +123,33 @@ class QfaSpec:
                 sym: [[[z.real, z.imag] for z in row] for row in matrix]
                 for sym, matrix in self.unitaries.items()
             },
+            "logical_state_count": self.logical_state_count,
+            "reject_residual": self.reject_residual,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> QfaSpec:
+        """Rebuild a spec; raises ValueError listing what validate() finds."""
         unitaries = {}
         for sym, rows in data["unitaries"].items():
             mat = np.array(
                 [[complex(re, im) for re, im in row] for row in rows], dtype=complex
             )
             unitaries[sym] = mat
-        return cls(
+        spec = cls(
             states=tuple(data["states"]),
             input_alphabet=tuple(data["alphabet"]),
             start=data["start"],
             accepting=frozenset(data["accept"]),
             rejecting=frozenset(data["reject"]),
             unitaries=unitaries,
+            logical_state_count=data.get("logical_state_count"),
+            reject_residual=data.get("reject_residual", False),
         )
+        problems = validate(spec)
+        if problems:
+            raise ValueError("invalid automaton: " + "; ".join(problems))
+        return spec
 
 
 @dataclass(frozen=True)
@@ -154,6 +200,25 @@ def validate(spec: QfaSpec) -> list[str]:
     return problems
 
 
+def _matrix(spec: QfaSpec, symbol: str) -> np.ndarray:
+    matrix = spec.unitaries.get(symbol)
+    if matrix is None:
+        raise ValueError(f"no transition matrix for symbol {symbol!r}")
+    return matrix
+
+
+def _observe(spec: QfaSpec, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Observe the halting decomposition along the last axis of phi.
+
+    Returns (residual, accept, reject): phi with its halting components
+    zeroed, and the squared norms on the accepting and rejecting states
+    taken away on this step, one per row of phi.
+    """
+    accept, reject, nonhalting = spec._outcome_weights
+    weights = np.abs(phi) ** 2
+    return phi * nonhalting, weights @ accept, weights @ reject
+
+
 def step(
     spec: QfaSpec, psi: np.ndarray, symbol: str
 ) -> tuple[np.ndarray, float, float]:
@@ -163,17 +228,11 @@ def step(
     projection of psi @ U onto the non-halting states, unnormalized,
     plus the squared norms measured away on this step.
     """
-    matrix = spec.unitaries.get(symbol)
-    if matrix is None:
-        raise ValueError(f"no transition matrix for symbol {symbol!r}")
+    matrix = _matrix(spec, symbol)
     if psi.shape != (spec.dim,):
         raise ValueError(f"amplitude vector has shape {psi.shape}, expected ({spec.dim},)")
-    phi = psi @ matrix
-    weights = np.abs(phi) ** 2
-    p_acc = float(weights[spec.accept_mask].sum())
-    p_rej = float(weights[spec.reject_mask].sum())
-    residual = np.where(spec.nonhalting_mask, phi, 0)
-    return residual, p_acc, p_rej
+    residual, p_acc, p_rej = _observe(spec, psi @ matrix)
+    return residual, float(p_acc), float(p_rej)
 
 
 def initial_superposition(spec: QfaSpec) -> np.ndarray:
@@ -189,26 +248,181 @@ def _check_word(spec: QfaSpec, word: str) -> None:
             raise ValueError(f"symbol {ch!r} not in the input alphabet")
 
 
+def _first_unconserved(p_acc, p_rej, p_res) -> int | None:
+    """Flat index of the first run whose outcomes do not sum to 1, if any."""
+    slack = np.abs(p_acc + p_rej + p_res - 1.0)
+    bad = np.flatnonzero(~(slack <= CONSERVATION_TOL))  # NaN counts as bad
+    return int(bad[0]) if bad.size else None
+
+
+def _unconserved(word: str, total: float) -> ValueError:
+    return ValueError(
+        f"probability not conserved on word {word!r}: "
+        f"accept + reject + residual = {total!r}"
+    )
+
+
+def _result(spec: QfaSpec, p_acc: float, p_rej: float, p_res: float) -> RunResult:
+    if spec.reject_residual:
+        return RunResult(p_acc, p_rej + p_res, 0.0)
+    return RunResult(p_acc, p_rej, p_res)
+
+
 def run(spec: QfaSpec, word: str) -> RunResult:
     """Feed marker + word + marker through the machine, exactly.
 
     Probabilities come from accumulating the per-step halting weights of
     the unnormalized residual, so no sampling is involved and repeated
-    runs are bit-identical.
+    runs are bit-identical.  Raises ValueError when the outcomes do not
+    sum to 1 within CONSERVATION_TOL.
     """
     _check_word(spec, word)
     psi = initial_superposition(spec)
     p_accept = 0.0
     p_reject = 0.0
     for symbol in (LEFT_MARKER, *word, RIGHT_MARKER):
-        psi, acc_inc, rej_inc = step(spec, psi, symbol)
+        psi, acc_inc, rej_inc = _observe(spec, psi @ _matrix(spec, symbol))
         p_accept += acc_inc
         p_reject += rej_inc
+    p_accept, p_reject = float(p_accept), float(p_reject)
     p_residual = float((np.abs(psi) ** 2).sum())
-    if spec.reject_residual:
-        p_reject += p_residual
-        p_residual = 0.0
-    return RunResult(p_accept, p_reject, p_residual)
+    if _first_unconserved(p_accept, p_reject, p_residual) is not None:
+        raise _unconserved(word, p_accept + p_reject + p_residual)
+    return _result(spec, p_accept, p_reject, p_residual)
+
+
+def _after_left_marker(spec: QfaSpec) -> tuple[np.ndarray, float, float]:
+    psi = initial_superposition(spec) @ _matrix(spec, LEFT_MARKER)
+    residual, acc, rej = _observe(spec, psi)
+    return residual, float(acc), float(rej)
+
+
+def _run_block(spec: QfaSpec, words: list[str]) -> np.ndarray:
+    """Rows of (accept, reject, residual) for words sorted longest first.
+
+    Column t feeds letter t to the rows whose word is longer than t and
+    the right marker to the rows whose word has length t; with the
+    longest words first both groups are slices.
+    """
+    out = np.empty((len(words), 3))
+    codes = np.zeros((len(words), len(words[0])), dtype=np.uint32)
+    for i, word in enumerate(words):
+        codes[i, : len(word)] = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
+    letters = [
+        (ord(sym), _matrix(spec, sym)) for sym in spec.input_alphabet if len(sym) == 1
+    ]
+    end = _matrix(spec, RIGHT_MARKER)
+    first, acc0, rej0 = _after_left_marker(spec)
+    psi = np.tile(first, (len(words), 1))
+    acc = np.full(len(words), acc0)
+    rej = np.full(len(words), rej0)
+    lengths = [len(word) for word in words]
+    live = len(words)
+    t = 0
+    while live:
+        active = live
+        while active and lengths[active - 1] == t:
+            active -= 1
+        if active < live:
+            residual, acc_inc, rej_inc = _observe(spec, psi[active:live] @ end)
+            out[active:live, 0] = acc[active:live] + acc_inc
+            out[active:live, 1] = rej[active:live] + rej_inc
+            out[active:live, 2] = (np.abs(residual) ** 2).sum(axis=-1)
+        if active:
+            now, column = psi[:active], codes[:active, t]
+            phi = np.empty_like(now)
+            for code, matrix in letters:
+                hit = column == code
+                phi[hit] = now[hit] @ matrix
+            psi, acc_inc, rej_inc = _observe(spec, phi)
+            acc = acc[:active] + acc_inc
+            rej = rej[:active] + rej_inc
+        live = active
+        t += 1
+    return out
+
+
+def run_many(spec: QfaSpec, words: Iterable[str]) -> list[RunResult]:
+    """Run a batch of words; the same results as [run(spec, w) for w in words].
+
+    The words may differ in length.  They are stepped together as the
+    rows of an amplitude matrix, at most BLOCK_ROWS rows per product,
+    and each row banks its halting weights after every symbol exactly
+    as run() does.  Raises ValueError naming the first word whose
+    outcomes do not sum to 1 within CONSERVATION_TOL.
+    """
+    words = list(words)
+    for word in words:
+        _check_word(spec, word)
+    order = sorted(range(len(words)), key=lambda i: -len(words[i]))
+    outcomes = np.empty((len(words), 3))
+    for lo in range(0, len(words), BLOCK_ROWS):
+        rows = order[lo : lo + BLOCK_ROWS]
+        outcomes[rows] = _run_block(spec, [words[i] for i in rows])
+    p_acc, p_rej, p_res = outcomes.T
+    bad = _first_unconserved(p_acc, p_rej, p_res)
+    if bad is not None:
+        raise _unconserved(words[bad], float(outcomes[bad].sum()))
+    return [_result(spec, *row) for row in outcomes.tolist()]
+
+
+def accept_all_words(spec: QfaSpec, max_len: int) -> list[np.ndarray]:
+    """p_accept of every word up to max_len over spec.input_alphabet.
+
+    Entry L holds the words of length L in lexicographic order (the
+    order of itertools.product over the alphabet).  The prefix tree is
+    walked depth first with an explicit stack of row blocks, so each
+    prefix is stepped once and no product has more than BLOCK_ROWS
+    rows.  The children of a contiguous run of parents are a contiguous
+    run of indices one level down, so each block writes its results in
+    place.  Raises ValueError naming the first word, in that order,
+    whose outcomes do not sum to 1 within CONSERVATION_TOL.
+    """
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
+    alphabet = spec.input_alphabet
+    fan_out = len(alphabet)
+    # psi @ fan, reshaped to (rows * fan_out, dim), lists child i*fan_out + s
+    # of parent row i: the parent followed by letter s.
+    fan = np.concatenate([_matrix(spec, sym) for sym in alphabet], axis=1)
+    parents_per_block = max(1, BLOCK_ROWS // fan_out)
+    end = _matrix(spec, RIGHT_MARKER)
+    probs = [np.empty(fan_out**length) for length in range(max_len + 1)]
+    first, acc0, rej0 = _after_left_marker(spec)
+    # (length, lex index of the first row, residuals, accepted, rejected)
+    stack = [(0, 0, first[None, :], np.array([acc0]), np.array([rej0]))]
+    first_bad: tuple[int, int, float] | None = None
+    while stack:
+        length, lo, psi, acc, rej = stack.pop()
+        residual, acc_inc, rej_inc = _observe(spec, psi @ end)
+        p_acc = acc + acc_inc
+        p_rej = rej + rej_inc
+        p_res = (np.abs(residual) ** 2).sum(axis=-1)
+        probs[length][lo : lo + len(psi)] = p_acc
+        bad = _first_unconserved(p_acc, p_rej, p_res)
+        if bad is not None:
+            found = (length, lo + bad, float(p_acc[bad] + p_rej[bad] + p_res[bad]))
+            first_bad = found if first_bad is None else min(first_bad, found)
+        if length == max_len:
+            continue
+        for c in range(0, len(psi), parents_per_block):
+            part = slice(c, c + parents_per_block)
+            children = (psi[part] @ fan).reshape(-1, spec.dim)
+            residual, acc_inc, rej_inc = _observe(spec, children)
+            stack.append(
+                (
+                    length + 1,
+                    (lo + c) * fan_out,
+                    residual,
+                    np.repeat(acc[part], fan_out) + acc_inc,
+                    np.repeat(rej[part], fan_out) + rej_inc,
+                )
+            )
+    if first_bad is not None:
+        length, index, total = first_bad
+        word = next(islice(product(alphabet, repeat=length), index, None))
+        raise _unconserved("".join(word), total)
+    return probs
 
 
 def accept_probability(spec: QfaSpec, word: str) -> float:
@@ -224,16 +438,12 @@ def run_sampled(spec: QfaSpec, word: str, rng: random.Random) -> str:
     _check_word(spec, word)
     psi = initial_superposition(spec)
     for symbol in (LEFT_MARKER, *word, RIGHT_MARKER):
-        phi = psi @ spec.unitaries[symbol]
-        weights = np.abs(phi) ** 2
-        p_acc = float(weights[spec.accept_mask].sum())
-        p_rej = float(weights[spec.reject_mask].sum())
+        residual, p_acc, p_rej = _observe(spec, psi @ _matrix(spec, symbol))
         draw = rng.random()
         if draw < p_acc:
             return "accept"
         if draw < p_acc + p_rej:
             return "reject"
-        residual = np.where(spec.nonhalting_mask, phi, 0)
         norm = np.linalg.norm(residual)
         if norm == 0.0:
             # Observation says "continue" but nothing continues; treat as

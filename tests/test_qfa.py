@@ -1,18 +1,25 @@
 import math
 import random
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfakit import cli
 from qfakit.divisibility import build_qfa, is_member
 from qfakit.qfa import (
+    BLOCK_ROWS,
     LEFT_MARKER,
     RIGHT_MARKER,
     QfaSpec,
+    accept_all_words,
     accept_probability,
     initial_superposition,
     run,
+    run_many,
     run_sampled,
     step,
     validate,
@@ -204,6 +211,11 @@ def test_json_roundtrip_preserves_behaviour():
         np.testing.assert_array_equal(again.unitaries[sym], spec.unitaries[sym])
     for word in ["", "a", "ab", "aaaaabbbbb", "ba" * 7]:
         assert run(again, word) == run(spec, word)
+    assert again.logical_state_count == spec.logical_state_count == 7
+    assert again.reject_residual is False
+    folding = QfaSpec.from_json_dict(replace(spec, reject_residual=True).to_json_dict())
+    assert folding.reject_residual is True
+    assert folding.logical_state_count == 7
 
 
 def test_membership_alignment_small_exhaustive():
@@ -216,3 +228,222 @@ def test_membership_alignment_small_exhaustive():
                 assert abs(p - 1) <= 1e-9
             else:
                 assert p <= 1 / 3 + 1e-9
+
+
+def test_json_rejects_non_unitary_matrix():
+    data = build_qfa(3).to_json_dict()
+    data["unitaries"]["a"][0][0] = [3.0, 0.0]
+    with pytest.raises(ValueError, match="'a' is not unitary"):
+        QfaSpec.from_json_dict(data)
+
+
+def test_unitaries_are_read_only():
+    spec = build_qfa(3)
+    before = run(spec, "a")
+    with pytest.raises(ValueError):
+        spec.unitaries["a"][:] *= 5
+    with pytest.raises(TypeError):
+        spec.unitaries["a"] = np.eye(spec.dim)
+    assert run(spec, "a") == before
+
+
+def test_spec_copies_the_callers_matrices():
+    spec = build_qfa(3)
+    mine = {sym: np.array(m) for sym, m in spec.unitaries.items()}
+    copy = replace(spec, unitaries=mine)
+    mine["a"] *= 5
+    assert run(copy, "a") == run(spec, "a")
+
+
+# Kernel tests.  build_qfa never halts in the middle of a word, so these
+# also use machines whose letter 'a' halts part or all of the amplitude.
+
+
+def _midword_halting_specs():
+    spec = build_qfa(3)
+    # 'a' acts as the right marker: everything halts at the first 'a'.
+    full = replace(spec, unitaries={**spec.unitaries, "a": spec.unitaries[RIGHT_MARKER]})
+    # 'a' rotates part of q0 onto the accepting state and part of q1 onto
+    # a rejecting channel before the circulant, so some amplitude halts
+    # at every 'a' and the rest keeps going.
+    i = spec.state_index
+    mix = np.eye(spec.dim, dtype=complex)
+    for x, y, angle in (("q0", "acc", 0.4), ("q1", "rej1", 1.1)):
+        c, s = math.cos(angle), math.sin(angle)
+        mix[i[x], i[x]], mix[i[x], i[y]] = c, s
+        mix[i[y], i[x]], mix[i[y], i[y]] = -s, c
+    partial = replace(spec, unitaries={**spec.unitaries, "a": spec.unitaries["a"] @ mix})
+    # The same rotation as the right marker leaves a residual after '$'.
+    residual = replace(partial, unitaries={**partial.unitaries, RIGHT_MARKER: mix})
+    return {"full": full, "partial": partial, "residual": residual}
+
+
+HALTING = _midword_halting_specs()
+KERNEL_SPECS = {
+    "n3": build_qfa(3),
+    "n5": build_qfa(5),
+    **HALTING,
+    "residual_folded": replace(HALTING["residual"], reject_residual=True),
+}
+
+
+def _oracle_result(spec, word):
+    acc, rej, residual = projector_oracle(spec, word)
+    if spec.reject_residual:
+        return acc, rej + residual, 0.0
+    return acc, rej, residual
+
+
+def _assert_close(result, expected, tol=1e-12):
+    got = (result.p_accept, result.p_reject, result.p_residual)
+    assert max(abs(g - e) for g, e in zip(got, expected)) <= tol, (got, expected)
+
+
+def test_midword_halting_specs_are_sound():
+    for spec in HALTING.values():
+        assert validate(spec) == []
+    # The partial machine halts during the word, not only at its end.
+    spec = HALTING["partial"]
+    psi, _, _ = step(spec, initial_superposition(spec), LEFT_MARKER)
+    psi, acc_inc, rej_inc = step(spec, psi, "a")
+    assert acc_inc > 0.01 and rej_inc > 0.01
+    assert np.linalg.norm(psi) > 0.5
+    assert run(HALTING["residual"], "ab").p_residual > 0.1
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_run_many_matches_projector_oracle(name):
+    spec = KERNEL_SPECS[name]
+    rng = random.Random(name)
+    # Mixed lengths, the empty word twice, and more words than one block.
+    words = ["", "a", "b", "ab", "ba", "aab", ""]
+    words += [random_word(rng, 25) for _ in range(BLOCK_ROWS + 60)]
+    results = run_many(spec, words)
+    assert len(results) == len(words)
+    for word, result in zip(words, results):
+        _assert_close(result, _oracle_result(spec, word))
+
+
+def test_run_many_empty_batch():
+    assert run_many(build_qfa(3), []) == []
+    assert run_many(build_qfa(3), iter([])) == []
+
+
+def test_run_many_checks_every_word():
+    with pytest.raises(ValueError, match="not in the input alphabet"):
+        run_many(build_qfa(3), ["ab", "abc"])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_accept_all_words_matches_projector_oracle(name):
+    spec = KERNEL_SPECS[name]
+    max_len = 8  # 256 words of length 8: two blocks at the deepest level
+    probs = accept_all_words(spec, max_len)
+    assert [len(level) for level in probs] == [2**k for k in range(max_len + 1)]
+    for length, level in enumerate(probs):
+        for letters, p in zip(product("ab", repeat=length), level):
+            acc = _oracle_result(spec, "".join(letters))[0]
+            assert abs(p - acc) <= 1e-12
+
+
+def test_accept_all_words_zero_length_and_bad_length():
+    probs = accept_all_words(build_qfa(3), 0)
+    assert len(probs) == 1 and abs(probs[0][0] - 1.0) <= 1e-12
+    with pytest.raises(ValueError):
+        accept_all_words(build_qfa(3), -1)
+
+
+_words = st.lists(st.text(alphabet="ab", max_size=30), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=_words, name=st.sampled_from(sorted(KERNEL_SPECS)))
+def test_run_many_equals_run(words, name):
+    spec = KERNEL_SPECS[name]
+    for word, batched in zip(words, run_many(spec, words), strict=True):
+        single = run(spec, word)
+        assert abs(batched.p_accept - single.p_accept) <= 1e-12
+        assert abs(batched.p_reject - single.p_reject) <= 1e-12
+        assert abs(batched.p_residual - single.p_residual) <= 1e-12
+
+
+def _leaky_spec():
+    spec = build_qfa(3)
+    return replace(spec, unitaries={**spec.unitaries, "a": spec.unitaries["a"] * 1.1})
+
+
+def test_conservation_is_checked_by_every_simulator():
+    spec = _leaky_spec()
+    assert abs(run(spec, "").p_accept - 1.0) <= 1e-12  # no 'a', nothing leaks
+    with pytest.raises(ValueError, match="not conserved on word 'ba'"):
+        run(spec, "ba")
+    with pytest.raises(ValueError, match="not conserved on word 'ba'"):
+        run_many(spec, ["", "bb", "ba", "a"])
+    with pytest.raises(ValueError, match="not conserved on word 'a'"):
+        accept_all_words(spec, 9)
+    # The check comes before the residual is folded into rejection.
+    with pytest.raises(ValueError, match="not conserved"):
+        run(replace(spec, reject_residual=True), "a")
+
+
+def test_cli_exits_two_on_unconserved_probability(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_qfa", lambda n: _leaky_spec())
+    assert cli.main(["scan", "--n", "3", "--max-len", "3", "--samples", "5"]) == 2
+    assert "not conserved on word 'a'" in capsys.readouterr().err
+    assert cli.main(["run", "--n", "3", "--word", "bab"]) == 2
+    assert "not conserved on word 'bab'" in capsys.readouterr().err
+
+
+def _reference_scan(n, max_len, samples, seed, random_max_len=40):
+    # The word-at-a-time scan: one run() per word, in enumeration order.
+    spec = build_qfa(n)
+    bound = 1.0 / cli.factorize(n).p_min
+    members, nonmembers, counterexamples = [], [], []
+
+    def check(word):
+        p = run(spec, word).p_accept
+        if is_member(word, n):
+            members.append(p)
+            if abs(p - 1.0) > cli.PROB_TOL:
+                counterexamples.append({"kind": "member_probability", "word": word, "p_accept": cli.fmt12(p)})
+        else:
+            nonmembers.append(p)
+            if p > bound + cli.PROB_TOL:
+                counterexamples.append({"kind": "nonmember_bound", "word": word, "p_accept": cli.fmt12(p)})
+        return p
+
+    for length in range(max_len + 1):
+        for letters in product("ab", repeat=length):
+            check("".join(letters))
+    rng = random.Random(seed)
+    low = max_len + 1
+    high = max(random_max_len, low)
+    max_delta = 0.0
+    for _ in range(samples):
+        word = "".join(rng.choice("ab") for _ in range(rng.randint(low, high)))
+        p = check(word)
+        delta = abs(p - run(spec, "".join(rng.sample(word, len(word)))).p_accept)
+        max_delta = max(max_delta, delta)
+        if delta > cli.SHUFFLE_TOL:
+            counterexamples.append({"kind": "shuffle_variance", "word": word, "p_accept": cli.fmt12(p)})
+    return {
+        "n": n,
+        "p_min": cli.factorize(n).p_min,
+        "bound": cli.fmt12(bound),
+        "max_len": max_len,
+        "samples": samples,
+        "random_max_len": high,
+        "seed": seed,
+        "words_scanned": len(members) + len(nonmembers),
+        "min_member_prob": cli.fmt12(min(members)),
+        "max_nonmember_prob": cli.fmt12(max(nonmembers)) if nonmembers else None,
+        "max_shuffle_delta": cli.fmt12(max_delta),
+        "counterexamples": counterexamples,
+    }
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_scan_report_matches_word_at_a_time_reference(n):
+    report = cli.scan_report(n, 6, 60, seed=n)
+    report.pop("elapsed")
+    assert report == _reference_scan(n, 6, 60, seed=n)
