@@ -123,12 +123,26 @@ class DfaSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> DfaSpec:
-        return cls(
+        """Rebuild a DFA; raises ValueError listing every unknown or missing name."""
+        dfa = cls(
             states=tuple(data["states"]),
             start=data["start"],
             accepting=frozenset(data["accept"]),
             delta={s: dict(moves) for s, moves in data["delta"].items()},
         )
+        known = set(dfa.states)
+        problems = [] if dfa.start in known else [f"unknown start state {dfa.start!r}"]
+        problems += [f"unknown accepting state {a!r}" for a in sorted(dfa.accepting - known)]
+        for s in dfa.states:
+            moves = dfa.delta.get(s, {})
+            for ch in ALPHABET:
+                if ch not in moves:
+                    problems.append(f"no {ch!r} transition from {s!r}")
+                elif moves[ch] not in known:
+                    problems.append(f"{s!r} on {ch!r} goes to unknown {moves[ch]!r}")
+        if problems:
+            raise ValueError("invalid DFA: " + "; ".join(problems))
+        return dfa
 
 
 def build_dfa(n: int) -> DfaSpec:
@@ -160,10 +174,14 @@ def dfa_accepts(dfa: DfaSpec, word: str) -> bool:
 def minimize_dfa(dfa: DfaSpec) -> DfaSpec:
     """Canonical minimal DFA with the same language.
 
-    Unreachable states are pruned, then equivalence classes are found by
-    partition refinement over the inverse transitions, pulling only the
-    smaller half of each split back onto the worklist.  Each class is
-    named after its lexicographically smallest member.
+    Unreachable states are pruned; Moore's signature refinement then starts
+    from the accept/reject split and, letter by letter, re-ranks blocks by
+    the pair (own block, successor's block) until a full round over the
+    alphabet adds no block.  Each round but the last adds one, so N states
+    take at most N rounds of O(N log N) sorting: O(N^2 log N) for a chain
+    that splits once per round, n rounds for the n * n product counter.
+    A class is named after its lexicographically smallest member; classes
+    keep the order of their first member.
     """
     reachable = {dfa.start}
     frontier = [dfa.start]
@@ -177,40 +195,21 @@ def minimize_dfa(dfa: DfaSpec) -> DfaSpec:
     position = {s: i for i, s in enumerate(dfa.states)}
     states = sorted(reachable, key=position.__getitem__)
 
-    inverse = {ch: {s: set() for s in states} for ch in ALPHABET}
-    for s in states:
-        for ch in ALPHABET:
-            inverse[ch][dfa.delta[s][ch]].add(s)
+    index = {s: i for i, s in enumerate(states)}
+    succ = [np.array([index[dfa.delta[s][ch]] for s in states]) for ch in ALPHABET]
+    block = np.array([s in dfa.accepting for s in states], dtype=np.int64)
+    count = 0
+    while count != block.max() + 1:
+        count = block.max() + 1
+        # Re-ranking after each letter keeps the keys below N**2.
+        for nxt in succ:
+            _, block = np.unique(block * len(states) + block[nxt], return_inverse=True)
 
-    accepting = frozenset(s for s in states if s in dfa.accepting)
-    rest = frozenset(states) - accepting
-    partition = {block for block in (accepting, rest) if block}
-    work = set(partition)
-    while work:
-        splitter = work.pop()
-        for ch in ALPHABET:
-            movers = {s for q in splitter for s in inverse[ch][q]}
-            for block in list(partition):
-                inside = block & movers
-                outside = block - movers
-                if not inside or not outside:
-                    continue
-                inside, outside = frozenset(inside), frozenset(outside)
-                partition.remove(block)
-                partition.update((inside, outside))
-                if block in work:
-                    work.remove(block)
-                    work.update((inside, outside))
-                else:
-                    work.add(min(inside, outside, key=len))
-
-    class_of = {}
-    for block in partition:
-        label = min(block)
-        for s in block:
-            class_of[s] = label
-    blocks = sorted(partition, key=lambda b: min(position[s] for s in b))
-    new_states = tuple(min(b) for b in blocks)
+    members: dict[int, list[str]] = {}
+    for s, b in zip(states, block.tolist()):
+        members.setdefault(b, []).append(s)
+    class_of = {s: min(group) for group in members.values() for s in group}
+    new_states = tuple(min(group) for group in members.values())
     new_delta = {
         rep: {ch: class_of[dfa.delta[rep][ch]] for ch in ALPHABET}
         for rep in new_states

@@ -82,7 +82,7 @@ def test_criterion_01_recognition_bounds():
 def test_criterion_02_state_count_gap():
     """n + 2 quantum states versus an already minimal n^2-state DFA."""
     failures = []
-    for n in (3, 5, 7, 9):
+    for n in (3, 5, 7, 9, 25):
         spec = build_qfa(n)
         dfa = build_dfa(n)
         minimized = minimize_dfa(dfa)

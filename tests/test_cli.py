@@ -107,6 +107,24 @@ def test_scan_exit_code_on_counterexample(capsys, monkeypatch):
     assert code == 1
 
 
+def test_scan_caps_max_len_before_scanning(capsys, monkeypatch):
+    scanned = []
+
+    def fake_report(n, max_len, samples, seed, random_max_len=40):
+        scanned.append(max_len)
+        return {"counterexamples": []}
+
+    monkeypatch.setattr(cli, "scan_report", fake_report)
+    for max_len in (cli.SCAN_MAX_LEN + 1, 40):
+        code, out, err = run_cli(capsys, ["scan", "--n", "3", "--max-len", str(max_len)])
+        assert code == 2 and out == ""
+        assert f"max-len must be at most {cli.SCAN_MAX_LEN}" in err
+    assert scanned == []
+    argv = ["scan", "--n", "3", "--max-len", str(cli.SCAN_MAX_LEN), "--json"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert scanned == [cli.SCAN_MAX_LEN]
+
+
 def test_scan_rejects_negative_seed(capsys):
     code, _, err = run_cli(capsys, ["scan", "--n", "3", "--seed", "-1"])
     assert code == 2 and "seed" in err
@@ -177,11 +195,15 @@ def test_compare_small(capsys):
 
 
 def test_compare_skips_minimization_for_large_n(capsys):
-    code, out, _ = run_cli(capsys, ["compare", "--n", "17", "--json"])
+    code, out, _ = run_cli(capsys, ["compare", "--n", "103", "--json"])
     assert code == 0
     report = json.loads(out)
     assert report["dfa_minimized_states"] is None
-    assert report["dfa_states"] == 289
+    assert report["dfa_states"] == 103 * 103
+    code, out, _ = run_cli(capsys, ["compare", "--n", "17", "--json"])
+    assert code == 0
+    assert json.loads(out)["dfa_minimized_states"] == 289
+    assert cli.compare_report(cli.MINIMIZE_MAX_N)["dfa_minimized_states"] == 101 * 101
 
 
 def test_export_roundtrip(tmp_path, capsys):

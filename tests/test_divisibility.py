@@ -191,6 +191,37 @@ def test_minimize_merges_duplicated_state():
     assert len(small.states) == 2
     for word in words_up_to(6):
         assert dfa_accepts(small, word) == dfa_accepts(dfa, word)
+    assert small.states == ("s0", "s1")
+    assert small.start == "s0"
+    assert small.accepting == frozenset({"s1"})
+    assert small.delta == {
+        "s0": {"a": "s1", "b": "s1"},
+        "s1": {"a": "s0", "b": "s0"},
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_minimize_cycle_needs_many_rounds(m):
+    # a walks a 2m-cycle accepting at 0 and m, b stays put: state i and
+    # i + m agree on every word, and telling the rest apart takes up to
+    # m - 1 letters, so refinement runs for many rounds
+    states = tuple(f"c{i:02d}" for i in range(2 * m))
+    dfa = DfaSpec(
+        states=states,
+        start=states[0],
+        accepting=frozenset({states[0], states[m]}),
+        delta={
+            s: {"a": states[(i + 1) % (2 * m)], "b": s} for i, s in enumerate(states)
+        },
+    )
+    small = minimize_dfa(dfa)
+    assert small.states == states[:m]
+    assert small.accepting == frozenset({states[0]})
+    for word in words_up_to(8):
+        assert dfa_accepts(small, word) == dfa_accepts(dfa, word), word
+    for i, p in enumerate(small.states):
+        for q in small.states[i + 1 :]:
+            assert distinguishable(small, p, q), (p, q)
 
 
 def test_minimize_prunes_unreachable_states():
@@ -235,3 +266,24 @@ def test_dfa_json_roundtrip():
     dfa = build_dfa(4)
     again = DfaSpec.from_json_dict(dfa.to_json_dict())
     assert again == dfa
+
+
+def test_dfa_json_rejects_unknown_and_missing_names():
+    data = build_dfa(2).to_json_dict()
+    data["start"] = "nowhere"
+    data["accept"] = ["a0b0", "ghost"]
+    data["delta"]["a0b1"]["b"] = "limbo"
+    del data["delta"]["a1b0"]["a"]
+    del data["delta"]["a1b1"]
+    with pytest.raises(ValueError) as info:
+        DfaSpec.from_json_dict(data)
+    message = str(info.value)
+    for needle in (
+        "unknown start state 'nowhere'",
+        "unknown accepting state 'ghost'",
+        "'a0b1' on 'b' goes to unknown 'limbo'",
+        "no 'a' transition from 'a1b0'",
+        "no 'a' transition from 'a1b1'",
+        "no 'b' transition from 'a1b1'",
+    ):
+        assert needle in message
