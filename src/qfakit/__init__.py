@@ -17,11 +17,13 @@ from .circulant import (
 )
 from .divisibility import (
     ALPHABET,
+    DENSE_MAX_N,
     DfaSpec,
     WordStats,
     build_dfa,
     build_qfa,
     dfa_accepts,
+    exact_accept_probability,
     is_member,
     minimize_dfa,
     word_stats,
@@ -51,6 +53,7 @@ from .qfa import (
 
 __all__ = [
     "ALPHABET",
+    "DENSE_MAX_N",
     "DfaSpec",
     "Factorization",
     "LEFT_MARKER",
@@ -67,6 +70,7 @@ __all__ = [
     "classify_special",
     "cyclic_shift_circulant",
     "dfa_accepts",
+    "exact_accept_probability",
     "factorize",
     "gcd",
     "initial_superposition",

@@ -4,7 +4,10 @@ A circulant here is the n x n matrix with entry (i, j) equal to
 first_row[(j - i) mod n]: each row is the previous one rotated right.
 Products, adjoints, and powers all stay in first-row space; the dense
 expansion exists for interfacing with generic matrix code and for test
-oracles, never for the algebra itself.
+oracles, never for the algebra itself.  The public first_row is a tuple
+of Python complex numbers; alongside it each matrix keeps one read-only
+ndarray copy of the row, made at construction, which the algebra uses
+instead of rebuilding an array from the tuple.
 
 The algebra runs on numpy arrays.  A product is a direct cyclic
 convolution (np.convolve, then the tail folded onto the head), not an
@@ -39,13 +42,22 @@ class ShiftMatrix:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"order must be positive, got {self.n}")
-        row = np.asarray(self.first_row, dtype=complex)
+        # A copy, so later edits to the caller's array cannot reach it.
+        row = np.array(self.first_row, dtype=complex)
         if row.shape != (self.n,):
             raise ValueError(f"first row has shape {row.shape}, expected ({self.n},)")
+        row.flags.writeable = False
         object.__setattr__(self, "first_row", tuple(row.tolist()))
+        object.__setattr__(self, "_row", row)
 
     def _array(self) -> np.ndarray:
-        return np.array(self.first_row, dtype=complex)
+        """The first row as a read-only array; copy it before writing."""
+        return self._row
+
+    def __reduce__(self):
+        # Pickles and copies go through the constructor, which makes their
+        # own read-only row.
+        return (ShiftMatrix, (self.n, self.first_row))
 
     @classmethod
     def identity(cls, n: int) -> ShiftMatrix:
@@ -83,7 +95,7 @@ class ShiftMatrix:
 
     def is_unitary(self, tol: float = _DEFAULT_TOL) -> bool:
         """Check A @ A.conj_transpose() == identity entrywise within tol."""
-        prod = (self @ self.conj_transpose())._array()
+        prod = (self @ self.conj_transpose())._array().copy()
         prod[0] -= 1
         return bool(np.abs(prod).max() <= tol)
 

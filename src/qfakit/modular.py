@@ -1,16 +1,19 @@
 """Exact residue arithmetic and quadratic exponential sums.
 
 Everything here is integer-exact except the exponential sums, which
-evaluate all their phases in one numpy call and add them as complex
-doubles.  Residues are canonicalized to 0..n-1; arguments of any size
-or sign are reduced mod n as Python ints before they become int64, so
-nothing overflows or wraps.
+add complex-double phases.  Phases are not computed one exp call per
+use: each modulus gets one read-only table of the n-th roots of unity
+(built once, kept for the few most recent moduli), and a phase is a
+lookup at its exponent mod n.  Residues are canonicalized to 0..n-1;
+arguments of any size or sign are reduced mod n as Python ints before
+they become int64, so nothing overflows or wraps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,14 +74,28 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def unit_phases(numerators, n: int) -> np.ndarray:
-    """exp(2*pi*i * numerators / n) elementwise, as a complex array.
+@lru_cache(maxsize=8)
+def _roots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (exp(2*pi*i * k/n) for k < n, j = 0..n-1, j*j mod n).
 
-    The numerators are reduced mod n before the division so large
-    arguments lose no precision; they must already fit in int64, so
-    callers reduce Python ints mod n first.
+    A table costs 16 * n bytes and the index arrays 8 * n each; they
+    depend on n only, so the few most recent moduli are kept.
     """
-    return np.exp(2j * np.pi * (np.asarray(numerators, dtype=np.int64) % n) / n)
+    j = np.arange(n, dtype=np.int64)
+    arrays = (np.exp(2j * np.pi * j / n), j, j * j % n)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def unit_phases(numerators, n: int) -> np.ndarray:
+    """exp(2*pi*i * numerators / n) elementwise, as a new complex array.
+
+    The numerators are reduced mod n and looked up in the modulus's
+    table of roots of unity, so large arguments lose no precision; they
+    must already fit in int64, so callers reduce Python ints mod n first.
+    """
+    return _roots(n)[0][np.asarray(numerators, dtype=np.int64) % n]
 
 
 def quad_exp_sum(b: int, t: int, n: int) -> complex:
@@ -88,8 +105,8 @@ def quad_exp_sum(b: int, t: int, n: int) -> complex:
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    j = np.arange(n, dtype=np.int64)
-    return complex(unit_phases((b % n) * (j * j % n) - 2 * (t % n) * j, n).sum())
+    _, j, j_sq = _roots(n)
+    return complex(unit_phases((b % n) * j_sq - 2 * (t % n) * j, n).sum())
 
 
 def shift_invariance_check(c1: int, c2: int, n: int) -> tuple[complex, complex]:
@@ -101,8 +118,8 @@ def shift_invariance_check(c1: int, c2: int, n: int) -> tuple[complex, complex]:
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     c1 %= n
-    j = np.arange(n, dtype=np.int64)
+    _, j, j_sq = _roots(n)
     shifted = (j + c2 % n) % n
-    lhs = unit_phases(c1 * (j * j % n), n).sum()
+    lhs = unit_phases(c1 * j_sq, n).sum()
     rhs = unit_phases(c1 * (shifted * shifted % n), n).sum()
     return complex(lhs), complex(rhs)

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -234,3 +236,37 @@ def test_json_roundtrip():
     a = ShiftMatrix(6, random_row(rng, 6))
     again = ShiftMatrix.from_json_dict(a.to_json_dict())
     assert again == a
+
+
+def test_array_view_is_read_only():
+    a = quadratic_phase_circulant(7)
+    with pytest.raises(ValueError):
+        a._array()[0] = 0
+    assert a._array().tolist() == list(a.first_row)
+
+
+def test_construction_copies_the_callers_array():
+    row = np.array([1, 2j, 3, 4 - 1j])
+    a = ShiftMatrix(4, row)
+    row[:] = 0
+    assert a.first_row == (1 + 0j, 2j, 3 + 0j, 4 - 1j)
+    assert a._array().tolist() == list(a.first_row)
+    assert a == ShiftMatrix(4, (1, 2j, 3, 4 - 1j))
+
+
+def test_is_unitary_leaves_the_matrix_unchanged():
+    skewed = ShiftMatrix(3, (1 / math.sqrt(2), 1 / math.sqrt(2), 0j))
+    for a in (quadratic_phase_circulant(9), skewed):
+        row = a.first_row
+        first = a.is_unitary(1e-9)
+        assert a.is_unitary(1e-9) == first
+        assert a.first_row == row
+        assert a._array().tolist() == list(row)
+
+
+def test_copies_keep_a_read_only_row():
+    a = quadratic_phase_circulant(5)
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert b == a
+        assert not b._array().flags.writeable
+        assert b._array().tolist() == list(a.first_row)

@@ -206,6 +206,27 @@ def test_compare_skips_minimization_for_large_n(capsys):
     assert cli.compare_report(cli.MINIMIZE_MAX_N)["dfa_minimized_states"] == 101 * 101
 
 
+@pytest.mark.parametrize(
+    "argv", [["compare", "--n", "10001"], ["run", "--n", "10001", "--word", "a"]]
+)
+def test_dense_build_cap_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "DENSE_MAX_N" in err
+
+
+def test_compare_counts_large_dfa_without_building_it(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"build_dfa({n}) called above the minimization cap")
+
+    monkeypatch.setattr(cli, "build_dfa", refuse)
+    report = cli.compare_report(103)
+    assert report["dfa_states"] == 103**2
+    assert report["dfa_minimized_states"] is None
+    assert report["dfa_to_qfa_state_ratio"] == cli.fmt12(103**2 / 105)
+
+
 def test_export_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["export", "--n", "3", "--out", str(tmp_path)])
     assert code == 0

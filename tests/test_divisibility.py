@@ -1,21 +1,28 @@
 import random
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfakit.divisibility import (
     ALPHABET,
+    DENSE_MAX_N,
     DfaSpec,
     WordStats,
     build_dfa,
     build_qfa,
     dfa_accepts,
+    exact_accept_probability,
     is_member,
     minimize_dfa,
     word_stats,
 )
-from qfakit.qfa import LEFT_MARKER, RIGHT_MARKER, accept_probability, validate
+from qfakit.modular import factorize
+from qfakit.qfa import LEFT_MARKER, RIGHT_MARKER, accept_probability, run_many, validate
 
 
 def words_up_to(max_len):
@@ -97,6 +104,11 @@ def test_build_qfa_structure(n):
 def test_build_qfa_rejects_bad_moduli(bad):
     with pytest.raises(ValueError):
         build_qfa(bad)
+
+
+def test_build_qfa_refuses_dense_build_above_cap():
+    with pytest.raises(ValueError, match="DENSE_MAX_N"):
+        build_qfa(DENSE_MAX_N + 2)
 
 
 def test_letter_unitaries_commute():
@@ -287,3 +299,47 @@ def test_dfa_json_rejects_unknown_and_missing_names():
         "no 'b' transition from 'a1b1'",
     ):
         assert needle in message
+
+
+ORACLE_MODULI = [3, 5, 9, 15, 21, 25, 27]
+cached_qfa = lru_cache(maxsize=None)(build_qfa)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from(ORACLE_MODULI),
+    words=st.lists(st.text(alphabet="ab", max_size=60), min_size=1, max_size=30),
+)
+def test_simulation_matches_exact_oracle(n, words):
+    for word, result in zip(words, run_many(cached_qfa(n), words)):
+        exact = exact_accept_probability(n, word.count("a"), word.count("b"))
+        assert abs(result.p_accept - float(exact)) <= 1e-9, (n, word)
+
+
+def test_exact_oracle_examples():
+    assert exact_accept_probability(9, 0, 0) == 1
+    assert exact_accept_probability(9, 9, 18) == 1
+    assert exact_accept_probability(9, 3, 6) == Fraction(1, 3)
+    assert exact_accept_probability(9, 3, 4) == 0
+    assert exact_accept_probability(15, 5, 0) == Fraction(1, 3)
+    assert exact_accept_probability(15, 1, 7) == Fraction(1, 15)
+    with pytest.raises(ValueError):
+        exact_accept_probability(4, 1, 1)
+    with pytest.raises(ValueError):
+        exact_accept_probability(9, -1, 0)
+
+
+@pytest.mark.parametrize("n", ORACLE_MODULI)
+def test_nonmember_bound_is_tight(n):
+    p_min = factorize(n).p_min
+    largest = max(
+        exact_accept_probability(n, a, b)
+        for a in range(2 * n)
+        for b in range(2 * n)
+        if not (a % n == 0 and b % n == 0)
+    )
+    assert largest == Fraction(1, p_min)
+    # attained by a real run: a^(n/p_min) is a non-member
+    word = "a" * (n // p_min)
+    assert not is_member(word, n)
+    assert abs(accept_probability(cached_qfa(n), word) - 1 / p_min) <= 1e-9

@@ -1,14 +1,17 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qfakit.modular import (
+    _roots,
     factorize,
     gcd,
     mod_div,
     quad_exp_sum,
     shift_invariance_check,
+    unit_phases,
 )
 
 ODD_MODULI = [3, 5, 9, 15]
@@ -215,3 +218,29 @@ def test_bad_moduli_rejected():
         shift_invariance_check(1, 1, -3)
     with pytest.raises(ValueError):
         mod_div(1, 1, 0)
+
+
+def test_unit_phases_bitwise_equal_to_direct_exp():
+    # the table lookup must give exactly the bits of one exp per phase
+    rng = np.random.default_rng(11)
+    for n in [*range(1, 201), 4096, 10007, 65537]:
+        x = rng.integers(-(2**62), 2**62, size=64, dtype=np.int64)
+        x[:3] = (-1, 0, -(2**62))
+        direct = np.exp(2j * np.pi * (x % n) / n)
+        table = unit_phases(x, n)
+        assert np.array_equal(table.view(np.uint64), direct.view(np.uint64)), n
+
+
+def test_unit_phases_returns_a_fresh_array():
+    phases = unit_phases([0, 1, 2], 5)
+    phases[0] = 7
+    assert unit_phases([0], 5)[0] == 1
+
+
+def test_root_tables_are_read_only():
+    for array in _roots(9):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    _, j, j_sq = _roots(9)
+    assert j.tolist() == list(range(9))
+    assert j_sq.tolist() == [k * k % 9 for k in range(9)]
