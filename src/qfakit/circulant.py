@@ -173,10 +173,10 @@ class SpecialShiftProfile:
         return ShiftMatrix(n, row)
 
 
-def classify_special(a: ShiftMatrix, tol: float = _DEFAULT_TOL) -> SpecialShiftProfile | None:
+def classify_special(a: ShiftMatrix) -> SpecialShiftProfile | None:
     """Fit a SpecialShiftProfile to a circulant, or return None.
 
-    Entries of modulus at most tol * max|entry| count as zero.  The
+    Entries of modulus at most _DEFAULT_TOL * max|entry| count as zero.  The
     support must then be exactly the multiples of some divisor l of n
     (l = n when only entry 0 survives), c is read off entry 0, k is
     fitted from the phase of entry l relative to entry 0 and validated
@@ -188,7 +188,7 @@ def classify_special(a: ShiftMatrix, tol: float = _DEFAULT_TOL) -> SpecialShiftP
     peak = magnitude.max()
     if peak == 0.0:
         return None
-    threshold = tol * peak
+    threshold = _DEFAULT_TOL * peak
     if magnitude[0] <= threshold:
         return None
     support = np.flatnonzero(magnitude > threshold)

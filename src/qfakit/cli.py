@@ -30,6 +30,7 @@ from .circulant import (
 )
 from .divisibility import (
     ALPHABET,
+    DENSE_MAX_N,
     build_dfa,
     build_qfa,
     is_member,
@@ -49,6 +50,8 @@ MINIMIZE_MAX_N = 101
 # checks them one by one: --max-len 18 takes 2-4 s, and every further
 # length doubles the time and the memory.
 SCAN_MAX_LEN = 20
+# scan samples its random words with lengths up to this (or max_len + 1).
+RANDOM_MAX_LEN = 40
 
 
 def fmt12(x: float) -> str:
@@ -62,14 +65,12 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
-def scan_report(
-    n: int, max_len: int, samples: int, seed: int, random_max_len: int = 40
-) -> dict:
+def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     """Sweep words and compare acceptance probabilities to the bounds.
 
     Words up to max_len are enumerated exhaustively in length-then-
     lexicographic order, with each shared prefix simulated once;
-    samples further words with lengths in (max_len, random_max_len] are
+    samples further words with lengths in (max_len, RANDOM_MAX_LEN] are
     drawn from a generator seeded with seed and simulated as one batch.
     Members must accept with probability 1, non-members with at most
     1/p_min, both within 1e-9.  Each sampled word is also re-run
@@ -108,7 +109,7 @@ def scan_report(
 
     rng = random.Random(seed)
     low = max_len + 1
-    high = max(random_max_len, low)
+    high = max(RANDOM_MAX_LEN, low)
     sampled: list[str] = []
     for _ in range(samples):
         length = rng.randint(low, high)
@@ -152,7 +153,15 @@ def lemma_report(n: int) -> dict:
     exactly on l = p_min, k = 1.  In both cases the n-th power is l = n
     (a phase times the identity), and the first entry of every power
     obeys |x0|^2 = 1 at s = n and |x0|^2 <= 1/p_min before that.
+    Raises ValueError above DENSE_MAX_N, the largest n the other
+    subcommands admit, before computing any power: the n iterated
+    products grow as n^3, so n = 10**5 would run for hours.
     """
+    if n > DENSE_MAX_N:
+        raise ValueError(
+            f"n = {n} exceeds DENSE_MAX_N = {DENSE_MAX_N}, the largest n"
+            " any subcommand admits"
+        )
     fac = factorize(n)
     rows = []
     power_law_ok = True
@@ -310,7 +319,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"DFA states: {report['dfa_states']}")
         print(f"DFA states after minimization: {report['dfa_minimized_states']}")
         print(f"DFA / quantum state ratio: {report['dfa_to_qfa_state_ratio']}")
-    return 0
+    minimized = report["dfa_minimized_states"]
+    return 0 if minimized is None or minimized == report["dfa_states"] else 1
 
 
 def cmd_export(args: argparse.Namespace) -> int:

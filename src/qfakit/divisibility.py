@@ -108,25 +108,19 @@ def build_qfa(n: int) -> QfaSpec:
     channels = tuple(f"rej{i}" for i in range(1, n))
     states = counters + ("acc", "rej") + channels
     dim = len(states)
-    index = {name: i for i, name in enumerate(states)}
 
-    end = np.zeros((dim, dim), dtype=complex)
-    end[index["q0"], index["acc"]] = 1.0
-    for i in range(1, n):
-        end[index[f"q{i}"], index[f"rej{i}"]] = 1.0
-    # Completion: route halting states back onto the freed basis vectors.
-    # They carry no amplitude when the right marker arrives, so any
-    # unitary completion gives the same run statistics.
-    end[index["acc"], index["q0"]] = 1.0
-    end[index["rej"], index["rej"]] = 1.0
-    for i in range(1, n):
-        end[index[f"rej{i}"], index[f"q{i}"]] = 1.0
+    # The right marker sends basis state i to target[i], in the order of
+    # states: q0 -> acc, q_i -> rej_i and, to complete the permutation,
+    # acc -> q0, rej -> rej, rej_i -> q_i.  The halting states carry no
+    # amplitude when the marker arrives, so any unitary completion gives
+    # the same run statistics.
+    target = np.concatenate(([n], np.arange(n + 2, dim), [0, n + 1], np.arange(1, n)))
 
     unitaries = {
         "a": _embed_circulant(quadratic_phase_circulant(n), dim),
         "b": _embed_circulant(cyclic_shift_circulant(n), dim),
         LEFT_MARKER: np.eye(dim, dtype=complex),
-        RIGHT_MARKER: end,
+        RIGHT_MARKER: np.eye(dim, dtype=complex)[target],
     }
     return QfaSpec(
         states=states,

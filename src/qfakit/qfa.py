@@ -13,14 +13,16 @@ Amplitude vectors are row vectors: unitaries[symbol][i][j] is the
 amplitude for moving from state i to state j, and a step maps psi to
 psi @ U before the observation.
 
-One observation helper serves every simulator.  run() steps a single
-vector; run_many() stacks many words into a (rows x dim) matrix and
-steps them column by column; accept_all_words() walks the prefix tree
-of every word up to a length, so each prefix is stepped once.  The
-batched simulators multiply at most BLOCK_ROWS rows at a time, which
-keeps their memory flat however many words they are given.  Each
-simulator checks that accept + reject + residual stays 1 within
-CONSERVATION_TOL.
+Every simulator is built from the same few pieces: one observation
+helper after each product, step() to apply the left marker (and every
+symbol of a sampled run), and one close that applies the right marker
+and totals the outcomes.  run() steps a single vector; run_many()
+stacks many words into a (rows x dim) matrix and steps them column by
+column; accept_all_words() walks the prefix tree of every word up to a
+length by recursion, so each prefix is stepped once.  The batched
+simulators multiply at most BLOCK_ROWS rows at a time, which keeps
+their memory flat however many words they are given.  Each simulator
+checks that accept + reject + residual stays 1 within CONSERVATION_TOL.
 """
 
 from __future__ import annotations
@@ -92,25 +94,12 @@ class QfaSpec:
         return {name: i for i, name in enumerate(self.states)}
 
     @cached_property
-    def accept_mask(self) -> np.ndarray:
-        return np.array([s in self.accepting for s in self.states])
-
-    @cached_property
-    def reject_mask(self) -> np.ndarray:
-        return np.array([s in self.rejecting for s in self.states])
-
-    @cached_property
-    def nonhalting_mask(self) -> np.ndarray:
-        return ~(self.accept_mask | self.reject_mask)
-
-    @cached_property
     def _outcome_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # 0/1 floats for the accepting, rejecting and non-halting states;
         # products with them are BLAS dot products rather than masked sums.
-        return tuple(
-            mask.astype(float)
-            for mask in (self.accept_mask, self.reject_mask, self.nonhalting_mask)
-        )
+        accept = np.array([s in self.accepting for s in self.states], dtype=float)
+        reject = np.array([s in self.rejecting for s in self.states], dtype=float)
+        return accept, reject, (accept + reject == 0).astype(float)
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,6 +257,18 @@ def _result(spec: QfaSpec, p_acc: float, p_rej: float, p_res: float) -> RunResul
     return RunResult(p_acc, p_rej, p_res)
 
 
+def _close(
+    spec: QfaSpec, rows: np.ndarray, acc, rej
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the right marker to residual rows and total their outcomes.
+
+    Returns (p_acc, p_rej, p_res): acc and rej plus the weights the
+    marker measures away, and the squared norm left on each row.
+    """
+    residual, acc_inc, rej_inc = _observe(spec, rows @ _matrix(spec, RIGHT_MARKER))
+    return acc + acc_inc, rej + rej_inc, (np.abs(residual) ** 2).sum(axis=-1)
+
+
 def run(spec: QfaSpec, word: str) -> RunResult:
     """Feed marker + word + marker through the machine, exactly.
 
@@ -277,24 +278,15 @@ def run(spec: QfaSpec, word: str) -> RunResult:
     sum to 1 within CONSERVATION_TOL.
     """
     _check_word(spec, word)
-    psi = initial_superposition(spec)
-    p_accept = 0.0
-    p_reject = 0.0
-    for symbol in (LEFT_MARKER, *word, RIGHT_MARKER):
+    psi, p_accept, p_reject = step(spec, initial_superposition(spec), LEFT_MARKER)
+    for symbol in word:
         psi, acc_inc, rej_inc = _observe(spec, psi @ _matrix(spec, symbol))
         p_accept += acc_inc
         p_reject += rej_inc
-    p_accept, p_reject = float(p_accept), float(p_reject)
-    p_residual = float((np.abs(psi) ** 2).sum())
+    p_accept, p_reject, p_residual = map(float, _close(spec, psi, p_accept, p_reject))
     if _first_unconserved(p_accept, p_reject, p_residual) is not None:
         raise _unconserved(word, p_accept + p_reject + p_residual)
     return _result(spec, p_accept, p_reject, p_residual)
-
-
-def _after_left_marker(spec: QfaSpec) -> tuple[np.ndarray, float, float]:
-    psi = initial_superposition(spec) @ _matrix(spec, LEFT_MARKER)
-    residual, acc, rej = _observe(spec, psi)
-    return residual, float(acc), float(rej)
 
 
 def _run_block(spec: QfaSpec, words: list[str]) -> np.ndarray:
@@ -311,23 +303,19 @@ def _run_block(spec: QfaSpec, words: list[str]) -> np.ndarray:
     letters = [
         (ord(sym), _matrix(spec, sym)) for sym in spec.input_alphabet if len(sym) == 1
     ]
-    end = _matrix(spec, RIGHT_MARKER)
-    first, acc0, rej0 = _after_left_marker(spec)
+    first, acc0, rej0 = step(spec, initial_superposition(spec), LEFT_MARKER)
     psi = np.tile(first, (len(words), 1))
     acc = np.full(len(words), acc0)
     rej = np.full(len(words), rej0)
-    lengths = [len(word) for word in words]
+    lengths = np.array([len(word) for word in words])
     live = len(words)
-    t = 0
-    while live:
-        active = live
-        while active and lengths[active - 1] == t:
-            active -= 1
+    for t in range(len(words[0]) + 1):
+        active = int(np.count_nonzero(lengths > t))
         if active < live:
-            residual, acc_inc, rej_inc = _observe(spec, psi[active:live] @ end)
-            out[active:live, 0] = acc[active:live] + acc_inc
-            out[active:live, 1] = rej[active:live] + rej_inc
-            out[active:live, 2] = (np.abs(residual) ** 2).sum(axis=-1)
+            done = slice(active, live)
+            out[done, 0], out[done, 1], out[done, 2] = _close(
+                spec, psi[done], acc[done], rej[done]
+            )
         if active:
             now, column = psi[:active], codes[:active, t]
             phi = np.empty_like(now)
@@ -338,7 +326,6 @@ def _run_block(spec: QfaSpec, words: list[str]) -> np.ndarray:
             acc = acc[:active] + acc_inc
             rej = rej[:active] + rej_inc
         live = active
-        t += 1
     return out
 
 
@@ -359,8 +346,7 @@ def run_many(spec: QfaSpec, words: Iterable[str]) -> list[RunResult]:
     for lo in range(0, len(words), BLOCK_ROWS):
         rows = order[lo : lo + BLOCK_ROWS]
         outcomes[rows] = _run_block(spec, [words[i] for i in rows])
-    p_acc, p_rej, p_res = outcomes.T
-    bad = _first_unconserved(p_acc, p_rej, p_res)
+    bad = _first_unconserved(*outcomes.T)
     if bad is not None:
         raise _unconserved(words[bad], float(outcomes[bad].sum()))
     return [_result(spec, *row) for row in outcomes.tolist()]
@@ -371,12 +357,12 @@ def accept_all_words(spec: QfaSpec, max_len: int) -> list[np.ndarray]:
 
     Entry L holds the words of length L in lexicographic order (the
     order of itertools.product over the alphabet).  The prefix tree is
-    walked depth first with an explicit stack of row blocks, so each
-    prefix is stepped once and no product has more than BLOCK_ROWS
-    rows.  The children of a contiguous run of parents are a contiguous
-    run of indices one level down, so each block writes its results in
-    place.  Raises ValueError naming the first word, in that order,
-    whose outcomes do not sum to 1 within CONSERVATION_TOL.
+    walked depth first by recursion, one level per letter, on blocks of
+    rows, so each prefix is stepped once and no product has more than
+    BLOCK_ROWS rows.  The children of a contiguous run of parents are a
+    contiguous run of indices one level down, so each block writes its
+    results in place.  Raises ValueError naming the first word, in that
+    order, whose outcomes do not sum to 1 within CONSERVATION_TOL.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
@@ -386,40 +372,34 @@ def accept_all_words(spec: QfaSpec, max_len: int) -> list[np.ndarray]:
     # of parent row i: the parent followed by letter s.
     fan = np.concatenate([_matrix(spec, sym) for sym in alphabet], axis=1)
     parents_per_block = max(1, BLOCK_ROWS // fan_out)
-    end = _matrix(spec, RIGHT_MARKER)
     probs = [np.empty(fan_out**length) for length in range(max_len + 1)]
-    first, acc0, rej0 = _after_left_marker(spec)
-    # (length, lex index of the first row, residuals, accepted, rejected)
-    stack = [(0, 0, first[None, :], np.array([acc0]), np.array([rej0]))]
-    first_bad: tuple[int, int, float] | None = None
-    while stack:
-        length, lo, psi, acc, rej = stack.pop()
-        residual, acc_inc, rej_inc = _observe(spec, psi @ end)
-        p_acc = acc + acc_inc
-        p_rej = rej + rej_inc
-        p_res = (np.abs(residual) ** 2).sum(axis=-1)
+    # (length, lex index, accept + reject + residual) of unconserved words
+    bad: list[tuple[int, int, float]] = []
+
+    def walk(length: int, lo: int, psi: np.ndarray, acc: np.ndarray, rej: np.ndarray) -> None:
+        # psi holds the residuals of the words lo, lo + 1, ... of this length.
+        p_acc, p_rej, p_res = _close(spec, psi, acc, rej)
         probs[length][lo : lo + len(psi)] = p_acc
-        bad = _first_unconserved(p_acc, p_rej, p_res)
-        if bad is not None:
-            found = (length, lo + bad, float(p_acc[bad] + p_rej[bad] + p_res[bad]))
-            first_bad = found if first_bad is None else min(first_bad, found)
+        i = _first_unconserved(p_acc, p_rej, p_res)
+        if i is not None:
+            bad.append((length, lo + i, float(p_acc[i] + p_rej[i] + p_res[i])))
         if length == max_len:
-            continue
+            return
         for c in range(0, len(psi), parents_per_block):
             part = slice(c, c + parents_per_block)
-            children = (psi[part] @ fan).reshape(-1, spec.dim)
-            residual, acc_inc, rej_inc = _observe(spec, children)
-            stack.append(
-                (
-                    length + 1,
-                    (lo + c) * fan_out,
-                    residual,
-                    np.repeat(acc[part], fan_out) + acc_inc,
-                    np.repeat(rej[part], fan_out) + rej_inc,
-                )
+            residual, acc_inc, rej_inc = _observe(spec, (psi[part] @ fan).reshape(-1, spec.dim))
+            walk(
+                length + 1,
+                (lo + c) * fan_out,
+                residual,
+                np.repeat(acc[part], fan_out) + acc_inc,
+                np.repeat(rej[part], fan_out) + rej_inc,
             )
-    if first_bad is not None:
-        length, index, total = first_bad
+
+    first, acc0, rej0 = step(spec, initial_superposition(spec), LEFT_MARKER)
+    walk(0, 0, first[None, :], np.array([acc0]), np.array([rej0]))
+    if bad:
+        length, index, total = min(bad)
         word = next(islice(product(alphabet, repeat=length), index, None))
         raise _unconserved("".join(word), total)
     return probs
@@ -438,7 +418,7 @@ def run_sampled(spec: QfaSpec, word: str, rng: random.Random) -> str:
     _check_word(spec, word)
     psi = initial_superposition(spec)
     for symbol in (LEFT_MARKER, *word, RIGHT_MARKER):
-        residual, p_acc, p_rej = _observe(spec, psi @ _matrix(spec, symbol))
+        residual, p_acc, p_rej = step(spec, psi, symbol)
         draw = rng.random()
         if draw < p_acc:
             return "accept"

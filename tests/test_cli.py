@@ -227,6 +227,37 @@ def test_compare_counts_large_dfa_without_building_it(monkeypatch):
     assert report["dfa_to_qfa_state_ratio"] == cli.fmt12(103**2 / 105)
 
 
+def test_compare_exits_one_when_the_dfa_is_not_minimal(capsys, monkeypatch):
+    real = cli.minimize_dfa
+
+    def drop_a_state(dfa):
+        small = real(dfa)
+        return DfaSpec(small.states[:-1], small.start, small.accepting, small.delta)
+
+    monkeypatch.setattr(cli, "minimize_dfa", drop_a_state)
+    code, out, _ = run_cli(capsys, ["compare", "--n", "5", "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert (report["dfa_states"], report["dfa_minimized_states"]) == (25, 24)
+    code, out, _ = run_cli(capsys, ["compare", "--n", "5"])
+    assert code == 1
+    assert "DFA states after minimization: 24" in out
+
+
+def test_lemmas_refuses_n_above_the_dense_cap(capsys, monkeypatch):
+    def refuse(a, s_max):
+        raise AssertionError(f"iter_powers called up to {s_max}")
+
+    monkeypatch.setattr(cli, "iter_powers", refuse)
+    code, out, err = run_cli(capsys, ["lemmas", "--n", str(cli.DENSE_MAX_N + 2)])
+    assert code == 2
+    assert out == ""
+    assert "DENSE_MAX_N" in err
+    # The cap itself is admitted: the powers are reached.
+    with pytest.raises(AssertionError, match=f"up to {cli.DENSE_MAX_N}"):
+        cli.lemma_report(cli.DENSE_MAX_N)
+
+
 def test_export_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["export", "--n", "3", "--out", str(tmp_path)])
     assert code == 0
