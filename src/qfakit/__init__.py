@@ -22,6 +22,7 @@ from .divisibility import (
     WordStats,
     build_dfa,
     build_qfa,
+    counts_in_language,
     dfa_accepts,
     exact_accept_probability,
     is_member,
@@ -68,6 +69,7 @@ __all__ = [
     "build_dfa",
     "build_qfa",
     "classify_special",
+    "counts_in_language",
     "cyclic_shift_circulant",
     "dfa_accepts",
     "exact_accept_probability",

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
-from itertools import product
 from pathlib import Path
+
+import numpy as np
 
 from .circulant import (
     classify_special,
@@ -33,22 +35,26 @@ from .divisibility import (
     DENSE_MAX_N,
     build_dfa,
     build_qfa,
+    counts_in_language,
     is_member,
     minimize_dfa,
     word_stats,
 )
-from .modular import factorize, mod_div
+from .modular import factorize
 from .qfa import accept_all_words, run, run_many
 
 PROB_TOL = 1e-9
 SHUFFLE_TOL = 1e-12
-# compare certifies DFA minimality up to this n: `compare --n 101` (10201
-# states) stays under about 0.3 s, while n = 301 would take about 4 s.
-# Above it the minimized count is reported as null.
+# The largest n for which the CLI builds the n x n DFA.  compare
+# certifies its minimality up to here: `compare --n 101` (10201 states)
+# stays under about 0.3 s, while n = 301 would take about 4 s; above it
+# the minimized count is reported as null.  export refuses larger n,
+# since its dense JSON grows as n**2 (`export --n 101` writes 9 MB in
+# 1.1-1.4 s).
 MINIMIZE_MAX_N = 101
-# scan keeps 8 bytes per exhaustive word, 2**L words at length L, and
-# checks them one by one: --max-len 18 takes 2-4 s, and every further
-# length doubles the time and the memory.
+# scan keeps 8 bytes per exhaustive word, 2**L words at length L:
+# --max-len 18 takes about 0.5 s and --max-len 20 about 1.5 s, and every
+# further length doubles the time and the memory.
 SCAN_MAX_LEN = 20
 # scan samples its random words with lengths up to this (or max_len + 1).
 RANDOM_MAX_LEN = 40
@@ -65,6 +71,34 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _judge(
+    member: np.ndarray, p: np.ndarray, bound: float, lowest: float, highest: float
+) -> tuple[np.ndarray, float, float]:
+    """Wrong mask of a batch, and lowest member p and highest non-member p so far.
+
+    A member is wrong when its p is more than PROB_TOL from 1, a
+    non-member when it exceeds bound by more than PROB_TOL.  lowest and
+    highest carry the extremes of the batches before; start them at inf
+    and -inf.
+    """
+    wrong = p > bound + PROB_TOL
+    wrong[member] = np.abs(p[member] - 1.0) > PROB_TOL
+    lowest = np.min(p, where=member, initial=lowest)
+    highest = np.max(p, where=~member, initial=highest)
+    return wrong, float(lowest), float(highest)
+
+
+def _bound_violation(member: bool, word: str, p: float) -> dict:
+    kind = "member_probability" if member else "nonmember_bound"
+    return {"kind": kind, "word": word, "p_accept": fmt12(p)}
+
+
+def _spell(length: int, index: int) -> str:
+    # Word number index of this length in accept_all_words' order: index
+    # in binary, most significant letter first, with a = 0 and b = 1.
+    return "".join(ALPHABET[index >> k & 1] for k in reversed(range(length)))
+
+
 def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     """Sweep words and compare acceptance probabilities to the bounds.
 
@@ -76,37 +110,18 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     1/p_min, both within 1e-9.  Each sampled word is also re-run
     under one random permutation of its letters, which must not change
     the probability by more than 1e-12.
+
+    The verdicts are taken over arrays, one length at a time and then
+    the sampled batch.  Word i of length L spells i in binary, so the
+    b-counts of one length follow from those of the length before
+    (children 2i and 2i + 1), and a word is spelled out only when it is
+    a counterexample.  Counterexamples come in scan order; a sampled
+    word's bound violation comes before its shuffle variance.
     """
     spec = build_qfa(n)
     bound = 1.0 / factorize(n).p_min
     started = time.perf_counter()
-    min_member: float | None = None
-    max_nonmember: float | None = None
-    counterexamples: list[dict] = []
-    words_scanned = 0
-
-    def check(word: str, p: float) -> None:
-        nonlocal min_member, max_nonmember, words_scanned
-        words_scanned += 1
-        if is_member(word, n):
-            if min_member is None or p < min_member:
-                min_member = p
-            if abs(p - 1.0) > PROB_TOL:
-                counterexamples.append(
-                    {"kind": "member_probability", "word": word, "p_accept": fmt12(p)}
-                )
-        else:
-            if max_nonmember is None or p > max_nonmember:
-                max_nonmember = p
-            if p > bound + PROB_TOL:
-                counterexamples.append(
-                    {"kind": "nonmember_bound", "word": word, "p_accept": fmt12(p)}
-                )
-
-    for length, probs in enumerate(accept_all_words(spec, max_len)):
-        for letters, p in zip(product(ALPHABET, repeat=length), probs):
-            check("".join(letters), float(p))
-
+    levels = accept_all_words(spec, max_len)
     rng = random.Random(seed)
     low = max_len + 1
     high = max(RANDOM_MAX_LEN, low)
@@ -116,15 +131,31 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
         word = "".join(rng.choice(ALPHABET) for _ in range(length))
         sampled += [word, "".join(rng.sample(word, len(word)))]
     results = run_many(spec, sampled)
-    max_shuffle_delta = 0.0
-    for word, result, again in zip(sampled[::2], results[::2], results[1::2]):
-        p = result.p_accept
-        check(word, p)
-        delta = abs(p - again.p_accept)
-        max_shuffle_delta = max(max_shuffle_delta, delta)
-        if delta > SHUFFLE_TOL:
+
+    counterexamples: list[dict] = []
+    lowest, highest = np.inf, -np.inf
+    count_b = np.zeros(1, dtype=np.uint16)
+    for length, p in enumerate(levels):
+        if length:
+            count_b = np.column_stack((count_b, count_b + 1)).ravel()
+        member = counts_in_language(length - count_b, count_b, n)
+        wrong, lowest, highest = _judge(member, p, bound, lowest, highest)
+        for i in np.flatnonzero(wrong).tolist():
+            counterexamples.append(_bound_violation(member[i], _spell(length, i), p[i]))
+
+    words = sampled[::2]
+    p = np.array([result.p_accept for result in results[::2]])
+    delta = np.abs(p - [result.p_accept for result in results[1::2]])
+    count_a = np.array([w.count("a") for w in words], dtype=np.int64)
+    count_b = np.array([w.count("b") for w in words], dtype=np.int64)
+    member = counts_in_language(count_a, count_b, n)
+    wrong, lowest, highest = _judge(member, p, bound, lowest, highest)
+    for i in np.flatnonzero(wrong | (delta > SHUFFLE_TOL)).tolist():
+        if wrong[i]:
+            counterexamples.append(_bound_violation(member[i], words[i], p[i]))
+        if delta[i] > SHUFFLE_TOL:
             counterexamples.append(
-                {"kind": "shuffle_variance", "word": word, "p_accept": fmt12(p)}
+                {"kind": "shuffle_variance", "word": words[i], "p_accept": fmt12(p[i])}
             )
 
     return {
@@ -135,10 +166,10 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
         "samples": samples,
         "random_max_len": high,
         "seed": seed,
-        "words_scanned": words_scanned,
-        "min_member_prob": fmt12(min_member),
-        "max_nonmember_prob": None if max_nonmember is None else fmt12(max_nonmember),
-        "max_shuffle_delta": fmt12(max_shuffle_delta),
+        "words_scanned": sum(map(len, levels)) + len(words),
+        "min_member_prob": fmt12(lowest),
+        "max_nonmember_prob": None if highest == -np.inf else fmt12(highest),
+        "max_shuffle_delta": fmt12(np.max(delta, initial=0.0)),
         "counterexamples": counterexamples,
         "elapsed": fmt12(time.perf_counter() - started),
     }
@@ -147,15 +178,18 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
 def lemma_report(n: int) -> dict:
     """Classify every power of the quadratic-phase circulant up to n.
 
-    For prime n the powers below n must all have full support (l = 1)
-    with phase coefficient k = 1/s mod n; for composite n they must
-    stay strictly sparser than l = n, with the p_min-th power landing
-    exactly on l = p_min, k = 1.  In both cases the n-th power is l = n
-    (a phase times the identity), and the first entry of every power
-    obeys |x0|^2 = 1 at s = n and |x0|^2 <= 1/p_min before that.
-    Raises ValueError above DENSE_MAX_N, the largest n the other
-    subcommands admit, before computing any power: the n iterated
-    products grow as n^3, so n = 10**5 would run for hours.
+    Every power s = 1 ... n must be of the sparse quadratic-phase form
+    with the closed-form profile l = gcd(s, n), g = n / l and
+    k = (s / l)^-1 mod g.  For prime n that is full support (l = 1) with
+    k = 1/s mod n below n; for composite n the p_min-th power lands on
+    l = p_min, k = 1; the n-th power is l = n (a phase times the
+    identity).  The first entry of every power obeys |x0|^2 = 1 at s = n
+    and |x0|^2 <= 1/p_min before that.  The power-law verdict is
+    reported under prime_power_law_ok or composite_power_law_ok, by
+    the kind of n; the other key is None.  Raises ValueError above
+    DENSE_MAX_N, the largest n the other subcommands admit, before
+    computing any power: the n iterated products grow as n^3, so
+    n = 10**5 would run for hours.
     """
     if n > DENSE_MAX_N:
         raise ValueError(
@@ -164,8 +198,7 @@ def lemma_report(n: int) -> dict:
         )
     fac = factorize(n)
     rows = []
-    power_law_ok = True
-    first_entry_ok = True
+    power_law_ok = first_entry_ok = True
     for s, power in iter_powers(quadratic_phase_circulant(n), n):
         profile = classify_special(power)
         x0_sq = abs(power.first_row[0]) ** 2
@@ -175,22 +208,13 @@ def lemma_report(n: int) -> dict:
         row["x0_squared"] = fmt12(x0_sq)
         rows.append(row)
 
+        l = math.gcd(s, n)
+        law = (l, n // l, pow(s // l, -1, n // l))
+        power_law_ok &= (row.get("l"), row.get("g"), row.get("k")) == law
         if s == n:
-            first_entry_ok = first_entry_ok and abs(x0_sq - 1.0) <= PROB_TOL
+            first_entry_ok &= abs(x0_sq - 1.0) <= PROB_TOL
         else:
-            first_entry_ok = first_entry_ok and x0_sq <= 1.0 / fac.p_min + PROB_TOL
-        if profile is None:
-            power_law_ok = False
-        elif s == n:
-            power_law_ok = power_law_ok and profile.l == n
-        elif fac.is_prime:
-            power_law_ok = power_law_ok and profile.l == 1 and profile.k == mod_div(1, s, n)
-        else:
-            power_law_ok = power_law_ok and profile.l < n
-            if s == fac.p_min:
-                power_law_ok = (
-                    power_law_ok and profile.l == fac.p_min and profile.k == 1
-                )
+            first_entry_ok &= x0_sq <= 1.0 / fac.p_min + PROB_TOL
     return {
         "n": n,
         "p_min": fac.p_min,
@@ -279,11 +303,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_lemmas(args: argparse.Namespace) -> int:
     report = lemma_report(args.n)
-    flags = [
-        report["prime_power_law_ok"],
-        report["composite_power_law_ok"],
-        report["first_entry_bound_ok"],
-    ]
+    law = report["prime_power_law_ok" if report["prime"] else "composite_power_law_ok"]
     if args.json:
         print(_dumps(report))
     else:
@@ -298,14 +318,9 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
                 )
             else:
                 print(f"{row['s']:>4}  not of the sparse quadratic-phase form")
-        law = (
-            report["prime_power_law_ok"]
-            if report["prime"]
-            else report["composite_power_law_ok"]
-        )
         print(f"power law ok: {law}")
         print(f"first entry bound ok: {report['first_entry_bound_ok']}")
-    return 0 if all(flag is None or flag for flag in flags) else 1
+    return 0 if law and report["first_entry_bound_ok"] else 1
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -324,6 +339,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    if args.n > MINIMIZE_MAX_N:
+        print(
+            f"error: n = {args.n} exceeds MINIMIZE_MAX_N = {MINIMIZE_MAX_N}; the"
+            " exported unitaries and DFA grow as n**2",
+            file=sys.stderr,
+        )
+        return 2
     files = {
         "qfa.json": build_qfa(args.n).to_json_dict(),
         "dfa.json": build_dfa(args.n).to_json_dict(),

@@ -44,12 +44,24 @@ def word_stats(word: str) -> WordStats:
     return WordStats(word.count("a"), word.count("b"))
 
 
-def is_member(word: str, n: int) -> bool:
-    """True when both letter counts are divisible by n."""
+def counts_in_language(
+    count_a: int | np.ndarray, count_b: int | np.ndarray, n: int
+) -> bool | np.ndarray:
+    """True where both letter counts are divisible by n.
+
+    The counts may be ints or numpy integer arrays of one shape; arrays
+    give a boolean array.  Every membership test in the package goes
+    through here.
+    """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
+    return (count_a % n == 0) & (count_b % n == 0)
+
+
+def is_member(word: str, n: int) -> bool:
+    """True when both letter counts of word are divisible by n."""
     stats = word_stats(word)
-    return stats.count_a % n == 0 and stats.count_b % n == 0
+    return counts_in_language(stats.count_a, stats.count_b, n)
 
 
 def _require_odd(n: int) -> None:

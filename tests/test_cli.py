@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -107,6 +108,50 @@ def test_scan_exit_code_on_counterexample(capsys, monkeypatch):
     assert code == 1
 
 
+def test_scan_reports_real_counterexamples_in_scan_order(capsys, monkeypatch):
+    # A real scan at n = 3 with four exhaustive probabilities, one sampled
+    # word and one shuffled copy perturbed.
+    real_all, real_many = cli.accept_all_words, cli.run_many
+    sampled = []
+
+    def perturbed_levels(spec, max_len):
+        levels = real_all(spec, max_len)
+        # (length, index in product order, p): "", "ab", "aaa", "abba"
+        for length, index, p in [(0, 0, 0.5), (2, 1, 0.8), (3, 0, 0.7), (4, 6, 0.5)]:
+            levels[length][index] = p
+        return levels
+
+    def perturbed_batch(spec, words):
+        sampled[:] = words
+        results = real_many(spec, words)
+        results[0] = dataclasses.replace(results[0], p_accept=0.9)
+        results[3] = dataclasses.replace(results[3], p_accept=results[3].p_accept + 1e-6)
+        return results
+
+    monkeypatch.setattr(cli, "accept_all_words", perturbed_levels)
+    monkeypatch.setattr(cli, "run_many", perturbed_batch)
+    report = cli.scan_report(3, 4, 5, seed=2)
+    first, second = sampled[0], sampled[2]
+    assert (first, second) == ("aababbaa", "abbbbba")
+    assert report["counterexamples"] == [
+        {"kind": "member_probability", "word": "", "p_accept": "0.500000000000"},
+        {"kind": "nonmember_bound", "word": "ab", "p_accept": "0.800000000000"},
+        {"kind": "member_probability", "word": "aaa", "p_accept": "0.700000000000"},
+        {"kind": "nonmember_bound", "word": "abba", "p_accept": "0.500000000000"},
+        {"kind": "nonmember_bound", "word": first, "p_accept": "0.900000000000"},
+        {"kind": "shuffle_variance", "word": first, "p_accept": "0.900000000000"},
+        {"kind": "shuffle_variance", "word": second, "p_accept": "0.333333333333"},
+    ]
+    assert report["words_scanned"] == 31 + 5
+    assert report["min_member_prob"] == "0.500000000000"
+    assert report["max_nonmember_prob"] == "0.900000000000"
+    assert report["max_shuffle_delta"] == cli.fmt12(0.9 - 1 / 3)
+    argv = ["scan", "--n", "3", "--max-len", "4", "--samples", "5", "--seed", "2", "--json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["counterexamples"] == report["counterexamples"]
+
+
 def test_scan_caps_max_len_before_scanning(capsys, monkeypatch):
     scanned = []
 
@@ -174,6 +219,29 @@ def test_lemmas_closed_form_at_301():
         assert (row["l"], row["g"], row["k"]) == (l, g, pow(s // l, -1, g)), s
         assert abs(float(row["x0_squared"]) - l / n) < 1e-9, s
         assert abs(float(row["c_abs"]) - math.sqrt(l / n)) < 1e-9, s
+
+
+def test_lemmas_flag_a_wrong_phase_coefficient_off_p_min(capsys, monkeypatch):
+    # At n = 9, s = 2 has l = 1, g = 9 and k = 2^-1 mod 9 = 5; no other
+    # power has k = 5 at g = 9.  Reporting k = 4 there breaks the closed
+    # form while every l stays as it should.
+    real = cli.classify_special
+
+    def wrong_k(power):
+        profile = real(power)
+        if (profile.g, profile.k) == (9, 5):
+            return dataclasses.replace(profile, k=4)
+        return profile
+
+    monkeypatch.setattr(cli, "classify_special", wrong_k)
+    report = cli.lemma_report(9)
+    assert [row["k"] for row in report["rows"] if row["s"] == 2] == [4]
+    assert report["composite_power_law_ok"] is False
+    assert report["prime_power_law_ok"] is None
+    assert report["first_entry_bound_ok"] is True
+    code, out, _ = run_cli(capsys, ["lemmas", "--n", "9"])
+    assert code == 1
+    assert "power law ok: False" in out
 
 
 def test_lemmas_human_table(capsys):
@@ -276,6 +344,20 @@ def test_export_roundtrip(tmp_path, capsys):
     for letter in ("a", "b"):
         matrix = ShiftMatrix.from_json_dict(circ_data[letter])
         assert matrix.is_unitary(1e-9)
+
+
+def test_export_refuses_n_above_the_dfa_cap(tmp_path, capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"machine built for n = {n} above the export cap")
+
+    monkeypatch.setattr(cli, "build_qfa", refuse)
+    monkeypatch.setattr(cli, "build_dfa", refuse)
+    out = tmp_path / "export"
+    code, stdout, err = run_cli(capsys, ["export", "--n", "103", "--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert f"MINIMIZE_MAX_N = {cli.MINIMIZE_MAX_N}" in err
+    assert not out.exists()
 
 
 def test_export_is_reproducible(tmp_path, capsys):

@@ -15,6 +15,7 @@ from qfakit.divisibility import (
     WordStats,
     build_dfa,
     build_qfa,
+    counts_in_language,
     dfa_accepts,
     exact_accept_probability,
     is_member,
@@ -79,6 +80,24 @@ def test_is_member_basics():
     assert is_member("ab", 1)  # modulus 1 accepts everything
     with pytest.raises(ValueError):
         is_member("a", 0)
+
+
+def test_counts_in_language_on_arrays_matches_is_member():
+    # n = 1001 does not fit the uint8 range: the counts' dtype must not
+    # limit the modulus.
+    for n in (3, 5, 1001):
+        count_a, count_b = np.meshgrid(np.arange(2 * n + 2), [0, 1, n, 2 * n], indexing="ij")
+        for dtype in (np.uint16, np.int64):
+            got = counts_in_language(count_a.astype(dtype), count_b.astype(dtype), n)
+            assert got.dtype == bool
+            expected = [
+                [is_member("a" * int(i) + "b" * int(j), n) for i, j in zip(ra, rb)]
+                for ra, rb in zip(count_a, count_b)
+            ]
+            assert got.tolist() == expected
+    assert counts_in_language(6, 9, 3) is True
+    with pytest.raises(ValueError):
+        counts_in_language(np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64), 0)
 
 
 def test_membership_is_count_based_only():

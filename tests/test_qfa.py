@@ -442,7 +442,7 @@ def _reference_scan(n, max_len, samples, seed, random_max_len=40):
     }
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 9])
 def test_scan_report_matches_word_at_a_time_reference(n):
     report = cli.scan_report(n, 6, 60, seed=n)
     report.pop("elapsed")
