@@ -14,6 +14,7 @@ from .circulant import (
     cyclic_shift_circulant,
     iter_powers,
     quadratic_phase_circulant,
+    quadratic_power_rows,
 )
 from .divisibility import (
     ALPHABET,
@@ -82,6 +83,7 @@ __all__ = [
     "mod_div",
     "quad_exp_sum",
     "quadratic_phase_circulant",
+    "quadratic_power_rows",
     "run",
     "run_many",
     "run_sampled",

@@ -13,14 +13,17 @@ The algebra runs on numpy arrays.  A product is a direct cyclic
 convolution (np.convolve, then the tail folded onto the head), not an
 FFT: at the orders used here it is as fast, and it multiplies rows of
 0/1 entries bit-exactly, so permutation powers hit the identity with ==.
+The powers of the quadratic-phase circulant are the one exception:
+quadratic_power_rows builds all n of them from the closed-form spectrum,
+one inverse FFT per block of rows, and classify_special judges such a
+block as one array.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +33,10 @@ _DEFAULT_TOL = 1e-9
 # Tolerance for re-deriving the phase law of a sparse circulant from its
 # entries: per-entry mismatch relative to the common modulus.
 _PHASE_FIT_TOL = 1e-8
+# quadratic_power_rows yields blocks of about this many entries (4 MB of
+# complex doubles), so that its memory stays O(n) at any n.
+_BLOCK_ENTRIES = 2**18
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,36 @@ def iter_powers(a: ShiftMatrix, s_max: int) -> Iterator[tuple[int, ShiftMatrix]]
             acc = acc @ a
 
 
+def quadratic_power_rows(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (s, rows) blocks of the powers of quadratic_phase_circulant(n).
+
+    rows[i] is the first row of A**(s + i); the blocks cover s = 1..n in
+    order, each of at most about _BLOCK_ENTRIES entries (at least one
+    row), so memory stays O(n).  n must be odd.
+
+    The rows come from the spectrum, not from products.  Completing the
+    square in Gauss's evaluation of the quadratic Gauss sum gives, under
+    numpy's fft convention, the eigenvalues
+        lambda_m = eps_n * exp(-2*pi*i * (4^-1 mod n) * m^2 / n),
+    with eps_n = 1 for n = 1 (mod 4) and i for n = 3 (mod 4).  The
+    spectrum of A**s is eps_n**s times the root of unity at the integer
+    exponent -(s * 4^-1 mod n) * (m^2 mod n), a table lookup, so no
+    rounding error builds up with s; a block is one inverse FFT.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"expected odd n > 0, got {n}")
+    quarter = pow(4, -1, n)
+    m = np.arange(n, dtype=np.int64)
+    m_sq = m * m % n
+    step = max(1, _BLOCK_ENTRIES // n)
+    for first in range(1, n + 1, step):
+        s = np.arange(first, min(first + step, n + 1), dtype=np.int64)
+        spectrum = unit_phases(-(s * quarter % n)[:, None] * m_sq, n)
+        if n % 4 == 3:
+            spectrum *= _POWERS_OF_I[s % 4, None]
+        yield first, np.fft.ifft(spectrum, axis=1)
+
+
 @dataclass(frozen=True)
 class SpecialShiftProfile:
     """Parameters of a sparse quadratic-phase circulant.
@@ -173,39 +210,58 @@ class SpecialShiftProfile:
         return ShiftMatrix(n, row)
 
 
-def classify_special(a: ShiftMatrix) -> SpecialShiftProfile | None:
-    """Fit a SpecialShiftProfile to a circulant, or return None.
+def classify_special(
+    a: ShiftMatrix | np.ndarray | Sequence[complex],
+) -> SpecialShiftProfile | None | list[SpecialShiftProfile | None]:
+    """Fit a SpecialShiftProfile to each circulant of a stack, or None.
+
+    a is a ShiftMatrix, one first row (1-D), or a (k, n) block of first
+    rows; a ShiftMatrix or a 1-D row gives a profile or None, a block
+    gives a list of them, one per row.  The rows are judged together, as
+    arrays.
 
     Entries of modulus at most _DEFAULT_TOL * max|entry| count as zero.  The
     support must then be exactly the multiples of some divisor l of n
     (l = n when only entry 0 survives), c is read off entry 0, k is
     fitted from the phase of entry l relative to entry 0 and validated
-    against every surviving entry.  Any mismatch, a zero matrix, or a
-    vanishing entry 0 means the matrix is not of this form.
+    against every surviving entry.  Any mismatch, a zero row, or a
+    vanishing entry 0 means the row is not of this form.
     """
-    row, n = a._array(), a.n
-    magnitude = np.abs(row)
-    peak = magnitude.max()
-    if peak == 0.0:
-        return None
-    threshold = _DEFAULT_TOL * peak
-    if magnitude[0] <= threshold:
-        return None
-    support = np.flatnonzero(magnitude > threshold)
-    l = int(support[1]) if support.size > 1 else n
-    if n % l != 0:
-        return None
+    rows = a._array() if isinstance(a, ShiftMatrix) else np.asarray(a, dtype=complex)
+    if rows.ndim not in (1, 2) or rows.shape[-1] == 0:
+        raise ValueError(f"expected a row or a block of rows, got shape {rows.shape}")
+    stack = np.atleast_2d(rows)
+    count, n = stack.shape
+    magnitude = np.abs(stack)
+    threshold = _DEFAULT_TOL * magnitude.max(axis=1)
+    support = magnitude > threshold[:, None]
+    # l is the first surviving index past 0, or n when there is none.
+    past_zero = support.copy()
+    past_zero[:, 0] = False
+    l = np.where(past_zero.any(axis=1), past_zero.argmax(axis=1), n)
+    index = np.arange(n)
+    ok = support[:, 0] & (n % l == 0)
+    ok &= (support == (index % l[:, None] == 0)).all(axis=1)
     g = n // l
-    if not np.array_equal(support, np.arange(0, n, l)):
-        return None
-    c = a.first_row[0]
-    if g == 1:
-        k = 0
-    else:
+    c = stack[:, 0]
+    # Rows rejected so far may hold inf or nan; their fit is discarded.
+    with np.errstate(all="ignore"):
         # One entry pins k: arg(a_l / c) = 2*pi * k*l / n = 2*pi * k / g.
-        k = round(cmath.phase(a.first_row[l] / c) * g / (2 * math.pi)) % g
-    j = np.arange(g, dtype=np.int64)
-    predicted = c * unit_phases(k * l * (j * j % n), n)
-    if np.abs(row[support] - predicted).max() > _PHASE_FIT_TOL * abs(c):
-        return None
-    return SpecialShiftProfile(l, g, k, c)
+        turns = np.angle(stack[np.arange(count), l % n] / c) * g / (2 * np.pi)
+        k = np.round(np.where(ok, turns, 0)).astype(np.int64) % g
+        # c * exp((2*pi/n)i * k*l*j^2) at j = index / l, minus the row, in
+        # place, so that a block holds few arrays of its size at once.
+        exponent = index // l[:, None]
+        exponent *= exponent
+        exponent %= n
+        exponent *= (k * l % n)[:, None]
+        misfit = unit_phases(exponent, n)
+        misfit *= c[:, None]
+        misfit -= stack
+        deviation = np.abs(misfit, out=magnitude).max(axis=1, where=support, initial=0.0)
+        ok &= deviation <= _PHASE_FIT_TOL * np.abs(c)
+    profiles = [
+        SpecialShiftProfile(l_, n // l_, k_, c_) if ok_ else None
+        for ok_, l_, k_, c_ in zip(ok.tolist(), l.tolist(), k.tolist(), c.tolist())
+    ]
+    return profiles if rows.ndim == 2 else profiles[0]

@@ -27,12 +27,11 @@ import numpy as np
 from .circulant import (
     classify_special,
     cyclic_shift_circulant,
-    iter_powers,
     quadratic_phase_circulant,
+    quadratic_power_rows,
 )
 from .divisibility import (
     ALPHABET,
-    DENSE_MAX_N,
     build_dfa,
     build_qfa,
     counts_in_language,
@@ -56,6 +55,19 @@ MINIMIZE_MAX_N = 101
 # --max-len 18 takes about 0.5 s and --max-len 20 about 1.5 s, and every
 # further length doubles the time and the memory.
 SCAN_MAX_LEN = 20
+# Each exhaustive word also costs one dense product at dimension 2n + 1, so
+# the sweep up to max-len L costs (2**(L + 1) - 1) * (2n + 1)**2.  scan
+# admits no more than its largest run at n = 3 (L = 20) costs: at n = 101
+# that is L <= 10, where L = 20 took 31 s; at n = 1001 it is L <= 3.
+SCAN_MAX_WORK = (2 ** (SCAN_MAX_LEN + 1) - 1) * 7**2
+# scan holds every sampled word, its shuffled copy and both results before
+# judging them: 20000 samples take about 0.7 s and 49 MB peak RSS at n = 3,
+# 50000 about 1.5 s and 77 MB, and both grow linearly.
+SCAN_MAX_SAMPLES = 50000
+# The largest n lemmas admits.  lemma_report streams the powers in blocks
+# of O(n) memory and costs O(n**2 log n): `lemmas --n 3001` takes about
+# 0.6 s and `lemmas --n 10001` about 5.6 s, both near 60 MB peak RSS.
+LEMMAS_MAX_N = 10001
 # scan samples its random words with lengths up to this (or max_len + 1).
 RANDOM_MAX_LEN = 40
 
@@ -186,35 +198,43 @@ def lemma_report(n: int) -> dict:
     identity).  The first entry of every power obeys |x0|^2 = 1 at s = n
     and |x0|^2 <= 1/p_min before that.  The power-law verdict is
     reported under prime_power_law_ok or composite_power_law_ok, by
-    the kind of n; the other key is None.  Raises ValueError above
-    DENSE_MAX_N, the largest n the other subcommands admit, before
-    computing any power: the n iterated products grow as n^3, so
-    n = 10**5 would run for hours.
+    the kind of n; the other key is None.  That verdict also holds the
+    first power to A itself: its c must be 1/sqrt(n).
+
+    The powers come from quadratic_power_rows in blocks, each classified
+    as one array, so the cost is O(n**2 log n) and memory O(n).  Raises
+    ValueError above LEMMAS_MAX_N before computing any power.
     """
-    if n > DENSE_MAX_N:
+    if n > LEMMAS_MAX_N:
         raise ValueError(
-            f"n = {n} exceeds DENSE_MAX_N = {DENSE_MAX_N}, the largest n"
-            " any subcommand admits"
+            f"n = {n} exceeds LEMMAS_MAX_N = {LEMMAS_MAX_N}, the largest n"
+            " lemmas admits"
         )
     fac = factorize(n)
     rows = []
     power_law_ok = first_entry_ok = True
-    for s, power in iter_powers(quadratic_phase_circulant(n), n):
-        profile = classify_special(power)
-        x0_sq = abs(power.first_row[0]) ** 2
-        row: dict = {"s": s, "is_special": profile is not None}
-        if profile is not None:
-            row.update(l=profile.l, g=profile.g, k=profile.k, c_abs=fmt12(abs(profile.c)))
-        row["x0_squared"] = fmt12(x0_sq)
-        rows.append(row)
+    for first, block in quadratic_power_rows(n):
+        powers = range(first, first + len(block))
+        for s, profile, x0 in zip(powers, classify_special(block), block[:, 0].tolist()):
+            x0_sq = abs(x0) ** 2
+            row: dict = {"s": s, "is_special": profile is not None}
+            if profile is not None:
+                row.update(l=profile.l, g=profile.g, k=profile.k, c_abs=fmt12(abs(profile.c)))
+            row["x0_squared"] = fmt12(x0_sq)
+            rows.append(row)
 
-        l = math.gcd(s, n)
-        law = (l, n // l, pow(s // l, -1, n // l))
-        power_law_ok &= (row.get("l"), row.get("g"), row.get("k")) == law
-        if s == n:
-            first_entry_ok &= abs(x0_sq - 1.0) <= PROB_TOL
-        else:
-            first_entry_ok &= x0_sq <= 1.0 / fac.p_min + PROB_TOL
+            l = math.gcd(s, n)
+            law = (l, n // l, pow(s // l, -1, n // l))
+            power_law_ok &= (row.get("l"), row.get("g"), row.get("k")) == law
+            if s == 1 and profile is not None:
+                # (1, n, 1) with c = 1/sqrt(n) spells out A's own first row.  A
+                # unit scalar on every power leaves each (l, g, k) and |x0| as
+                # they are, so this pins the powers to A.
+                power_law_ok &= abs(profile.c - 1 / math.sqrt(n)) <= PROB_TOL
+            if s == n:
+                first_entry_ok &= abs(x0_sq - 1.0) <= PROB_TOL
+            else:
+                first_entry_ok &= x0_sq <= 1.0 / fac.p_min + PROB_TOL
     return {
         "n": n,
         "p_min": fac.p_min,
@@ -425,8 +445,25 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if hasattr(args, "max_len") and (
+        (2 ** (args.max_len + 1) - 1) * (2 * args.n + 1) ** 2 > SCAN_MAX_WORK
+    ):
+        print(
+            f"error: max-len {args.max_len} is too long at n = {args.n}; the"
+            " exhaustive scan may cost at most SCAN_MAX_WORK ="
+            f" {SCAN_MAX_WORK} = (2**(max-len + 1) - 1) * (2n + 1)**2",
+            file=sys.stderr,
+        )
+        return 2
     if getattr(args, "samples", 0) < 0:
         print("error: samples must be non-negative", file=sys.stderr)
+        return 2
+    if getattr(args, "samples", 0) > SCAN_MAX_SAMPLES:
+        print(
+            f"error: samples must be at most {SCAN_MAX_SAMPLES}; the scan holds"
+            " every sampled word and its result",
+            file=sys.stderr,
+        )
         return 2
     try:
         return args.func(args)

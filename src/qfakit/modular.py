@@ -105,8 +105,8 @@ def quad_exp_sum(b: int, t: int, n: int) -> complex:
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    _, j, j_sq = _roots(n)
-    return complex(unit_phases((b % n) * j_sq - 2 * (t % n) * j, n).sum())
+    roots, j, j_sq = _roots(n)
+    return complex(roots[((b % n) * j_sq - 2 * (t % n) * j) % n].sum())
 
 
 def shift_invariance_check(c1: int, c2: int, n: int) -> tuple[complex, complex]:
@@ -118,8 +118,8 @@ def shift_invariance_check(c1: int, c2: int, n: int) -> tuple[complex, complex]:
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     c1 %= n
-    _, j, j_sq = _roots(n)
+    roots, j, j_sq = _roots(n)
     shifted = (j + c2 % n) % n
-    lhs = unit_phases(c1 * j_sq, n).sum()
-    rhs = unit_phases(c1 * (shifted * shifted % n), n).sum()
+    lhs = roots[c1 * j_sq % n].sum()
+    rhs = roots[c1 * (shifted * shifted % n) % n].sum()
     return complex(lhs), complex(rhs)

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from qfakit import circulant
 from qfakit.circulant import (
     ShiftMatrix,
     SpecialShiftProfile,
@@ -13,6 +14,7 @@ from qfakit.circulant import (
     cyclic_shift_circulant,
     iter_powers,
     quadratic_phase_circulant,
+    quadratic_power_rows,
 )
 
 
@@ -128,6 +130,40 @@ def test_iter_powers_matches_power():
         np.testing.assert_allclose(p.first_row, a.power(s).first_row, atol=1e-12)
 
 
+def oracle_power_rows(n):
+    return np.array([p._array() for _, p in iter_powers(quadratic_phase_circulant(n), n)])
+
+
+def test_quadratic_power_rows_match_iter_powers():
+    for n in range(1, 302, 2):
+        blocks = list(quadratic_power_rows(n))
+        assert [first for first, _ in blocks] == [1]
+        np.testing.assert_allclose(blocks[0][1], oracle_power_rows(n), rtol=0, atol=1e-12)
+
+
+def test_quadratic_power_rows_stream_bounded_blocks(monkeypatch):
+    # At n = 1001 the powers span several blocks.  Every |entry|^2 is l/n
+    # on the multiples of l = gcd(s, n) and 0 elsewhere.
+    n = 1001
+    index = np.arange(n)
+    s_next = 1
+    for first, rows in quadratic_power_rows(n):
+        assert first == s_next and 1 < len(rows) and rows.size <= circulant._BLOCK_ENTRIES
+        l = np.gcd(np.arange(first, first + len(rows)), n)[:, None]
+        moduli = np.where(index % l == 0, l / n, 0.0)
+        assert np.abs(np.abs(rows) ** 2 - moduli).max() < 1e-14
+        s_next += len(rows)
+    assert s_next == n + 1
+    # The block size does not change the rows.
+    whole = next(quadratic_power_rows(45))[1]
+    monkeypatch.setattr(circulant, "_BLOCK_ENTRIES", 100)
+    split = list(quadratic_power_rows(45))
+    assert [first for first, _ in split] == list(range(1, 46, 2))
+    np.testing.assert_array_equal(np.concatenate([rows for _, rows in split]), whole)
+    with pytest.raises(ValueError, match="odd"):
+        next(quadratic_power_rows(10))
+
+
 def test_quadratic_phase_row_frozen_values():
     m = quadratic_phase_circulant(3)
     w = cmath.exp(2j * math.pi / 3)
@@ -229,6 +265,36 @@ def test_classify_tolerates_tiny_noise():
     )
     prof = classify_special(ShiftMatrix(9, noisy))
     assert prof is not None and (prof.l, prof.g, prof.k) == (3, 3, 1)
+
+
+def test_classify_block_matches_single_rows():
+    # Judging rows together must not let one row's verdict reach another.
+    rng = np.random.default_rng(11)
+    for n in [9, 15, 45, 105]:
+        exact = oracle_power_rows(n)
+        shape = exact.shape
+        noisy = exact + rng.uniform(-1e-12, 1e-12, shape) + 1j * rng.uniform(-1e-12, 1e-12, shape)
+        perturbed = exact.copy()
+        size = np.resize([1e-10, 1e-8, 1e-6, 1e-2], n) * np.exp(1j * rng.uniform(0, 7, n))
+        perturbed[np.arange(n), rng.integers(0, n, n)] += size
+        scaled = exact * np.logspace(0, -12, n)[:, None]
+        for stack in (exact, noisy, perturbed, scaled):
+            profiles = classify_special(stack)
+            assert profiles == [classify_special(row) for row in stack]
+            assert profiles == [classify_special(ShiftMatrix(n, row)) for row in stack]
+        assert None not in classify_special(noisy) + classify_special(scaled)
+        assert 0 < classify_special(perturbed).count(None) < n
+
+
+def test_classify_accepts_a_matrix_a_row_or_a_block():
+    power = quadratic_phase_circulant(9).power(3)
+    profile = classify_special(power)
+    assert classify_special(power.first_row) == profile
+    shift = cyclic_shift_circulant(9)._array()
+    assert classify_special(np.stack([power._array(), shift])) == [profile, None]
+    for bad in (1j, np.zeros((3, 0)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="block of rows"):
+            classify_special(bad)
 
 
 def test_json_roundtrip():

@@ -2,11 +2,12 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qfakit import cli
 from qfakit.divisibility import DfaSpec, build_dfa, dfa_accepts
-from qfakit.circulant import ShiftMatrix
+from qfakit.circulant import ShiftMatrix, classify_special, iter_powers, quadratic_phase_circulant
 from qfakit.qfa import QfaSpec, accept_probability, validate
 
 
@@ -170,6 +171,42 @@ def test_scan_caps_max_len_before_scanning(capsys, monkeypatch):
     assert scanned == [cli.SCAN_MAX_LEN]
 
 
+def _record_scans(monkeypatch):
+    scanned = []
+
+    def fake_report(*args):
+        scanned.append(args)
+        return {"counterexamples": []}
+
+    monkeypatch.setattr(cli, "scan_report", fake_report)
+    return scanned
+
+
+def test_scan_caps_samples_before_scanning(capsys, monkeypatch):
+    scanned = _record_scans(monkeypatch)
+    argv = ["scan", "--n", "3", "--max-len", "4", "--json", "--samples"]
+    code, out, err = run_cli(capsys, argv + [str(cli.SCAN_MAX_SAMPLES + 1)])
+    assert code == 2 and out == ""
+    assert f"samples must be at most {cli.SCAN_MAX_SAMPLES}" in err
+    assert scanned == []
+    assert run_cli(capsys, argv + [str(cli.SCAN_MAX_SAMPLES)])[0] == 0
+    assert scanned == [(3, 4, cli.SCAN_MAX_SAMPLES, 0)]
+
+
+def test_scan_caps_exhaustive_work_by_n(capsys, monkeypatch):
+    scanned = _record_scans(monkeypatch)
+    for n, max_len in [(101, 11), (1001, 4), (1001, 20), (10**6, 0)]:
+        code, out, err = run_cli(capsys, ["scan", "--n", str(n), "--max-len", str(max_len)])
+        assert code == 2 and out == ""
+        assert f"max-len {max_len} is too long at n = {n}" in err
+    assert scanned == []
+    admitted = [(3, 20), (3, 18), (21, 10), (101, 10), (1001, 3)]
+    for n, max_len in admitted:
+        argv = ["scan", "--n", str(n), "--max-len", str(max_len), "--json"]
+        assert run_cli(capsys, argv)[0] == 0
+    assert [args[:2] for args in scanned] == admitted
+
+
 def test_scan_rejects_negative_seed(capsys):
     code, _, err = run_cli(capsys, ["scan", "--n", "3", "--seed", "-1"])
     assert code == 2 and "seed" in err
@@ -227,11 +264,10 @@ def test_lemmas_flag_a_wrong_phase_coefficient_off_p_min(capsys, monkeypatch):
     # form while every l stays as it should.
     real = cli.classify_special
 
-    def wrong_k(power):
-        profile = real(power)
-        if (profile.g, profile.k) == (9, 5):
-            return dataclasses.replace(profile, k=4)
-        return profile
+    def wrong_k(rows):
+        return [
+            dataclasses.replace(p, k=4) if (p.g, p.k) == (9, 5) else p for p in real(rows)
+        ]
 
     monkeypatch.setattr(cli, "classify_special", wrong_k)
     report = cli.lemma_report(9)
@@ -242,6 +278,73 @@ def test_lemmas_flag_a_wrong_phase_coefficient_off_p_min(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["lemmas", "--n", "9"])
     assert code == 1
     assert "power law ok: False" in out
+
+
+def _reference_lemma_report(n):
+    # The report from the iterated-product oracle, one power at a time.
+    p_min = min(p for p in range(3, n + 1, 2) if n % p == 0)
+    rows = []
+    law_ok = first_entry_ok = True
+    for s, power in iter_powers(quadratic_phase_circulant(n), n):
+        profile = classify_special(power)
+        x0_sq = abs(power.first_row[0]) ** 2
+        row = {"s": s, "is_special": profile is not None}
+        if profile is not None:
+            row.update(l=profile.l, g=profile.g, k=profile.k, c_abs=cli.fmt12(abs(profile.c)))
+        row["x0_squared"] = cli.fmt12(x0_sq)
+        rows.append(row)
+        l = math.gcd(s, n)
+        law = (l, n // l, pow(s // l, -1, n // l))
+        law_ok &= (row.get("l"), row.get("g"), row.get("k")) == law
+        if s == n:
+            first_entry_ok &= abs(x0_sq - 1.0) <= cli.PROB_TOL
+        else:
+            first_entry_ok &= x0_sq <= 1 / p_min + cli.PROB_TOL
+    prime = p_min == n
+    return {
+        "n": n,
+        "p_min": p_min,
+        "prime": prime,
+        "rows": rows,
+        "prime_power_law_ok": law_ok if prime else None,
+        "composite_power_law_ok": None if prime else law_ok,
+        "first_entry_bound_ok": first_entry_ok,
+    }
+
+
+def test_lemma_report_matches_the_iterated_product_reference():
+    for n in range(3, 106, 2):
+        report = cli.lemma_report(n)
+        assert report == _reference_lemma_report(n), n
+        assert report["prime_power_law_ok"] in (True, None), n
+        assert report["composite_power_law_ok"] in (True, None), n
+
+
+def _spectrum_rows(eps, quarter):
+    # The powers of A from the spectrum eps**s * exp(-2*pi*i * s*quarter * m^2 / n),
+    # as quadratic_power_rows yields them, in one block.
+    def rows(n):
+        s = np.arange(1, n + 1)[:, None]
+        m = np.arange(n)
+        spectrum = eps**s * np.exp(-2j * np.pi * (s * quarter * m * m % n) / n)
+        yield 1, np.fft.ifft(spectrum, axis=1)
+
+    return rows
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 15, 21, 25])
+def test_lemmas_flag_a_mutant_spectrum(monkeypatch, n):
+    key = "prime_power_law_ok" if n in (5, 7) else "composite_power_law_ok"
+    eps = 1 if n % 4 == 1 else 1j
+    monkeypatch.setattr(cli, "quadratic_power_rows", _spectrum_rows(eps, pow(4, -1, n)))
+    assert cli.lemma_report(n)[key] is True
+    # A wrong eps_n is a unit scalar on every power: only the anchor of the
+    # first power to A catches it.  A wrong 4^-1 changes k.
+    for wrong_eps, wrong_quarter in [(1j / eps, pow(4, -1, n)), (eps, pow(2, -1, n)), (eps, 1)]:
+        monkeypatch.setattr(cli, "quadratic_power_rows", _spectrum_rows(wrong_eps, wrong_quarter))
+        report = cli.lemma_report(n)
+        assert report[key] is False, (wrong_eps, wrong_quarter)
+        assert report["first_entry_bound_ok"] is True
 
 
 def test_lemmas_human_table(capsys):
@@ -312,18 +415,18 @@ def test_compare_exits_one_when_the_dfa_is_not_minimal(capsys, monkeypatch):
     assert "DFA states after minimization: 24" in out
 
 
-def test_lemmas_refuses_n_above_the_dense_cap(capsys, monkeypatch):
-    def refuse(a, s_max):
-        raise AssertionError(f"iter_powers called up to {s_max}")
+def test_lemmas_refuses_n_above_its_cap(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"power rows computed for n = {n}")
 
-    monkeypatch.setattr(cli, "iter_powers", refuse)
-    code, out, err = run_cli(capsys, ["lemmas", "--n", str(cli.DENSE_MAX_N + 2)])
+    monkeypatch.setattr(cli, "quadratic_power_rows", refuse)
+    code, out, err = run_cli(capsys, ["lemmas", "--n", str(cli.LEMMAS_MAX_N + 2)])
     assert code == 2
     assert out == ""
-    assert "DENSE_MAX_N" in err
+    assert "LEMMAS_MAX_N" in err
     # The cap itself is admitted: the powers are reached.
-    with pytest.raises(AssertionError, match=f"up to {cli.DENSE_MAX_N}"):
-        cli.lemma_report(cli.DENSE_MAX_N)
+    with pytest.raises(AssertionError, match=f"for n = {cli.LEMMAS_MAX_N}"):
+        cli.lemma_report(cli.LEMMAS_MAX_N)
 
 
 def test_export_roundtrip(tmp_path, capsys):
