@@ -27,6 +27,7 @@ from .divisibility import (
     dfa_accepts,
     exact_accept_probability,
     is_member,
+    meets_permutation_criterion,
     minimize_dfa,
     word_stats,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "initial_superposition",
     "is_member",
     "iter_powers",
+    "meets_permutation_criterion",
     "minimize_dfa",
     "mod_div",
     "quad_exp_sum",

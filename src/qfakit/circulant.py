@@ -33,9 +33,9 @@ _DEFAULT_TOL = 1e-9
 # Tolerance for re-deriving the phase law of a sparse circulant from its
 # entries: per-entry mismatch relative to the common modulus.
 _PHASE_FIT_TOL = 1e-8
-# quadratic_power_rows yields blocks of about this many entries (4 MB of
+# quadratic_power_rows yields blocks of about this many entries (1 MB of
 # complex doubles), so that its memory stays O(n) at any n.
-_BLOCK_ENTRIES = 2**18
+_BLOCK_ENTRIES = 2**16
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 

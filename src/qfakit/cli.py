@@ -32,11 +32,12 @@ from .circulant import (
 )
 from .divisibility import (
     ALPHABET,
+    DENSE_MAX_N,
     build_dfa,
     build_qfa,
     counts_in_language,
     is_member,
-    minimize_dfa,
+    meets_permutation_criterion,
     word_stats,
 )
 from .modular import factorize
@@ -44,13 +45,10 @@ from .qfa import accept_all_words, run, run_many
 
 PROB_TOL = 1e-9
 SHUFFLE_TOL = 1e-12
-# The largest n for which the CLI builds the n x n DFA.  compare
-# certifies its minimality up to here: `compare --n 101` (10201 states)
-# stays under about 0.3 s, while n = 301 would take about 4 s; above it
-# the minimized count is reported as null.  export refuses larger n,
-# since its dense JSON grows as n**2 (`export --n 101` writes 9 MB in
-# 1.1-1.4 s).
-MINIMIZE_MAX_N = 101
+# The largest n export admits: it writes four dense unitaries and the
+# whole n x n DFA as JSON, which grow as n**2 (`export --n 101` writes
+# 9 MB in 1.1-1.4 s).
+EXPORT_MAX_N = 101
 # scan keeps 8 bytes per exhaustive word, 2**L words at length L:
 # --max-len 18 takes about 0.5 s and --max-len 20 about 1.5 s, and every
 # further length doubles the time and the memory.
@@ -64,9 +62,15 @@ SCAN_MAX_WORK = (2 ** (SCAN_MAX_LEN + 1) - 1) * 7**2
 # judging them: 20000 samples take about 0.7 s and 49 MB peak RSS at n = 3,
 # 50000 about 1.5 s and 77 MB, and both grow linearly.
 SCAN_MAX_SAMPLES = 50000
+# Each sampled word is also stepped at dimension 2n + 1: at n = 1001, 200
+# samples took 3.2 s past the 1 s build, about 11 ms a sample.  scan admits
+# samples * (2n + 1)**2 up to the default 1000 samples at DENSE_MAX_N
+# (about 12 s), so SCAN_MAX_SAMPLES binds below n = 141 and this above.
+SCAN_MAX_SAMPLE_WORK = 1000 * (2 * DENSE_MAX_N + 1) ** 2
 # The largest n lemmas admits.  lemma_report streams the powers in blocks
-# of O(n) memory and costs O(n**2 log n): `lemmas --n 3001` takes about
-# 0.6 s and `lemmas --n 10001` about 5.6 s, both near 60 MB peak RSS.
+# of O(n) memory and costs O(n**2 log n): on a 2-vCPU VM `lemmas --n 3001`
+# took about 1.0 s and 37 MB peak RSS, `lemmas --n 10001` 11-12 s and
+# 52 MB, most of it the report itself.
 LEMMAS_MAX_N = 10001
 # scan samples its random words with lengths up to this (or max_len + 1).
 RANDOM_MAX_LEN = 40
@@ -249,23 +253,22 @@ def lemma_report(n: int) -> dict:
 def compare_report(n: int) -> dict:
     """State counts of the quantum recognizer against the minimal DFA.
 
-    The DFA is built and minimized, certifying its n * n states, for n
-    up to MINIMIZE_MAX_N.  Above that dfa_minimized_states is None and
-    dfa_states is the product counter's size n * n, without building it.
+    build_dfa(n)'s n * n states are certified minimal by the permutation
+    criterion (meets_permutation_criterion): each letter permutes the
+    states, all are reachable and exactly one accepts.  That costs
+    O(n**2 log n) on the successor arrays, at every n build_qfa admits.
+    dfa_minimized_states is n * n when the criterion holds and None when
+    it does not.
     """
     qfa_spec = build_qfa(n)
-    if n <= MINIMIZE_MAX_N:
-        dfa_spec = build_dfa(n)
-        dfa_states = len(dfa_spec.states)
-        minimized = len(minimize_dfa(dfa_spec).states)
-    else:
-        dfa_states, minimized = n * n, None
+    dfa_spec = build_dfa(n)
+    dfa_states = len(dfa_spec.states)
     return {
         "n": n,
         "qfa_logical_states": qfa_spec.logical_state_count,
         "qfa_internal_states": len(qfa_spec.states),
         "dfa_states": dfa_states,
-        "dfa_minimized_states": minimized,
+        "dfa_minimized_states": dfa_states if meets_permutation_criterion(dfa_spec) else None,
         "dfa_to_qfa_state_ratio": fmt12(dfa_states / qfa_spec.logical_state_count),
     }
 
@@ -352,17 +355,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"quantum states (source description): {report['qfa_logical_states']}")
         print(f"quantum states (realized unitaries): {report['qfa_internal_states']}")
         print(f"DFA states: {report['dfa_states']}")
-        print(f"DFA states after minimization: {report['dfa_minimized_states']}")
+        print(f"DFA states certified minimal: {report['dfa_minimized_states']}")
         print(f"DFA / quantum state ratio: {report['dfa_to_qfa_state_ratio']}")
-    minimized = report["dfa_minimized_states"]
-    return 0 if minimized is None or minimized == report["dfa_states"] else 1
+    return 0 if report["dfa_minimized_states"] == report["dfa_states"] else 1
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    if args.n > MINIMIZE_MAX_N:
+    if args.n > EXPORT_MAX_N:
         print(
-            f"error: n = {args.n} exceeds MINIMIZE_MAX_N = {MINIMIZE_MAX_N}; the"
-            " exported unitaries and DFA grow as n**2",
+            f"error: n = {args.n} exceeds EXPORT_MAX_N = {EXPORT_MAX_N}; the"
+            " export of the unitaries and the DFA grows as n**2",
             file=sys.stderr,
         )
         return 2
@@ -462,6 +464,14 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"error: samples must be at most {SCAN_MAX_SAMPLES}; the scan holds"
             " every sampled word and its result",
+            file=sys.stderr,
+        )
+        return 2
+    if hasattr(args, "samples") and args.samples * (2 * args.n + 1) ** 2 > SCAN_MAX_SAMPLE_WORK:
+        print(
+            f"error: {args.samples} samples are too many at n = {args.n}; the"
+            " sampled words may cost at most SCAN_MAX_SAMPLE_WORK ="
+            f" {SCAN_MAX_SAMPLE_WORK} = samples * (2n + 1)**2",
             file=sys.stderr,
         )
         return 2

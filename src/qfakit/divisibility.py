@@ -6,12 +6,17 @@ a measure-many one-way quantum automaton whose source-level description
 uses n + 2 states, and the classical product-counter DFA with n * n
 states, which is already minimal.  The gap between those two sizes is
 the point of the construction.
+
+DFAs are stored as int successor arrays.  minimize_dfa is the general
+Moore minimizer; meets_permutation_criterion certifies the product
+counter minimal without minimizing, in O(N log N) for N states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -145,71 +150,212 @@ def build_qfa(n: int) -> QfaSpec:
     )
 
 
-@dataclass(frozen=True)
 class DfaSpec:
-    """Complete DFA over {a, b}."""
+    """Complete DFA over {a, b}, stored as int arrays.
 
-    states: tuple[str, ...]
-    start: str
-    accepting: frozenset[str]
-    delta: dict[str, dict[str, str]]
+    A DFA with N states keeps its state names as the tuple ``states``, a
+    read-only (2, N) int array ``successors`` whose row k sends each
+    state index to its successor on ALPHABET[k], a read-only boolean
+    ``accept_mask`` and the ``start_index``.  ``start``, ``accepting``
+    and the nested dict ``delta`` are views derived from these;
+    ``accepting`` and ``delta`` are built on first read and cached.
+
+    ``DfaSpec(states, start, accepting, delta)`` converts names to arrays
+    once and raises ValueError listing every unknown or missing name;
+    ``DfaSpec.from_arrays`` takes the arrays directly.  A built DFA cannot
+    be edited: attributes cannot be set and the arrays are read-only.
+    """
+
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        start: str,
+        accepting: frozenset[str],
+        delta: dict[str, dict[str, str]],
+    ) -> None:
+        names = tuple(states)
+        index = {s: i for i, s in enumerate(names)}
+        problems = [] if len(index) == len(names) else ["duplicate state names"]
+        if start not in index:
+            problems.append(f"unknown start state {start!r}")
+        unknown = sorted(set(accepting) - index.keys())
+        problems += [f"unknown accepting state {a!r}" for a in unknown]
+        for s in names:
+            moves = delta.get(s, {})
+            for ch in ALPHABET:
+                if ch not in moves:
+                    problems.append(f"no {ch!r} transition from {s!r}")
+                elif moves[ch] not in index:
+                    problems.append(f"{s!r} on {ch!r} goes to unknown {moves[ch]!r}")
+        if problems:
+            raise ValueError("invalid DFA: " + "; ".join(problems))
+        successors = np.array(
+            [[index[delta[s][ch]] for s in names] for ch in ALPHABET], dtype=np.intp
+        ).reshape(len(ALPHABET), len(names))
+        accept_mask = np.zeros(len(names), dtype=bool)
+        accept_mask[[index[a] for a in accepting]] = True
+        self._freeze(names, successors, accept_mask, index[start])
+
+    @classmethod
+    def from_arrays(
+        cls,
+        states: tuple[str, ...],
+        successors: np.ndarray,
+        accept_mask: np.ndarray,
+        start_index: int,
+    ) -> DfaSpec:
+        """DFA from its names, (2, N) successor indices, accepting mask and start.
+
+        The arrays are copied.  Raises ValueError on a shape that does not
+        fit N = len(states) or on an index outside 0..N-1.  The names must
+        be distinct; they are not checked, since hashing a million names
+        costs more than the rest of the build.
+        """
+        names = tuple(states)
+        size = len(names)
+        successors = np.array(successors, dtype=np.intp)
+        accept_mask = np.array(accept_mask, dtype=bool)
+        if successors.shape != (len(ALPHABET), size) or accept_mask.shape != (size,):
+            raise ValueError(
+                f"invalid DFA: successors {successors.shape} and accept mask"
+                f" {accept_mask.shape} do not fit {size} states"
+            )
+        inside = size and 0 <= successors.min() and successors.max() < size
+        if not (inside and 0 <= start_index < size):
+            raise ValueError(f"invalid DFA: a state index is outside 0..{size - 1}")
+        dfa = cls.__new__(cls)
+        dfa._freeze(names, successors, accept_mask, int(start_index))
+        return dfa
+
+    def _freeze(
+        self,
+        names: tuple[str, ...],
+        successors: np.ndarray,
+        accept_mask: np.ndarray,
+        start_index: int,
+    ) -> None:
+        successors.flags.writeable = False
+        accept_mask.flags.writeable = False
+        object.__setattr__(self, "states", names)
+        object.__setattr__(self, "successors", successors)
+        object.__setattr__(self, "accept_mask", accept_mask)
+        object.__setattr__(self, "start_index", start_index)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r}: a DfaSpec is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DfaSpec):
+            return NotImplemented
+        return (
+            self.states == other.states
+            and self.start_index == other.start_index
+            and np.array_equal(self.successors, other.successors)
+            and np.array_equal(self.accept_mask, other.accept_mask)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"DfaSpec({len(self.states)} states, start={self.start!r},"
+            f" {np.count_nonzero(self.accept_mask)} accepting)"
+        )
+
+    @property
+    def start(self) -> str:
+        return self.states[self.start_index]
+
+    @cached_property
+    def accepting(self) -> frozenset[str]:
+        return frozenset(self.states[i] for i in np.flatnonzero(self.accept_mask).tolist())
+
+    @cached_property
+    def delta(self) -> dict[str, dict[str, str]]:
+        return self._named_moves()
+
+    def _named_moves(self) -> dict[str, dict[str, str]]:
+        names = self.states
+        targets = zip(*([names[t] for t in row] for row in self.successors.tolist()))
+        return {s: dict(zip(ALPHABET, moves)) for s, moves in zip(names, targets)}
 
     def to_json_dict(self) -> dict:
         return {
             "states": list(self.states),
             "start": self.start,
             "accept": sorted(self.accepting),
-            "delta": {s: dict(self.delta[s]) for s in self.states},
+            "delta": self._named_moves(),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> DfaSpec:
         """Rebuild a DFA; raises ValueError listing every unknown or missing name."""
-        dfa = cls(
+        return cls(
             states=tuple(data["states"]),
             start=data["start"],
             accepting=frozenset(data["accept"]),
-            delta={s: dict(moves) for s, moves in data["delta"].items()},
+            delta=data["delta"],
         )
-        known = set(dfa.states)
-        problems = [] if dfa.start in known else [f"unknown start state {dfa.start!r}"]
-        problems += [f"unknown accepting state {a!r}" for a in sorted(dfa.accepting - known)]
-        for s in dfa.states:
-            moves = dfa.delta.get(s, {})
-            for ch in ALPHABET:
-                if ch not in moves:
-                    problems.append(f"no {ch!r} transition from {s!r}")
-                elif moves[ch] not in known:
-                    problems.append(f"{s!r} on {ch!r} goes to unknown {moves[ch]!r}")
-        if problems:
-            raise ValueError("invalid DFA: " + "; ".join(problems))
-        return dfa
 
 
 def build_dfa(n: int) -> DfaSpec:
-    """Product of two mod-n letter counters; n * n states, all reachable."""
+    """Product of two mod-n letter counters; n * n states, all reachable.
+
+    State a{i}b{j} counts i = #a and j = #b mod n and has index i * n + j,
+    so the successor arrays follow from divmod arithmetic alone.
+    """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-
-    def name(i: int, j: int) -> str:
-        return f"a{i}b{j}"
-
-    states = tuple(name(i, j) for i in range(n) for j in range(n))
-    delta = {
-        name(i, j): {"a": name((i + 1) % n, j), "b": name(i, (j + 1) % n)}
-        for i in range(n)
-        for j in range(n)
-    }
-    return DfaSpec(states, name(0, 0), frozenset({name(0, 0)}), delta)
+    i, j = np.divmod(np.arange(n * n), n)
+    successors = np.stack(((i + 1) % n * n + j, i * n + (j + 1) % n))
+    b_names = [f"b{j}" for j in range(n)]
+    names = tuple([f"a{i}" + b for i in range(n) for b in b_names])
+    return DfaSpec.from_arrays(names, successors, np.arange(n * n) == 0, 0)
 
 
 def dfa_accepts(dfa: DfaSpec, word: str) -> bool:
-    state = dfa.start
+    state = dfa.start_index
     for ch in word:
         if ch not in ALPHABET:
             raise ValueError(f"symbol {ch!r} not in the input alphabet")
-        state = dfa.delta[state][ch]
-    return state in dfa.accepting
+        state = dfa.successors[ALPHABET.index(ch), state]
+    return bool(dfa.accept_mask[state])
+
+
+def _reachable(successors: np.ndarray, start: int) -> np.ndarray:
+    # Breadth-first search over the successor arrays.  The seen mask is
+    # allocated once and each level touches only its frontier's
+    # successors, so a level costs O(f log f) for a frontier of f states:
+    # the n * n product counter has 2n - 1 levels, and an O(N) pass per
+    # level would make the search O(n**3).  Repeats are dropped by sorting
+    # them next to each other; np.unique took three times as long (numpy
+    # 2.4, n = 1001).
+    seen = np.zeros(successors.shape[1], dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        successor = successors[:, frontier].ravel()
+        successor = np.sort(successor[~seen[successor]])
+        frontier = successor[np.diff(successor, prepend=-1) != 0]
+        seen[frontier] = True
+    return seen
+
+
+def meets_permutation_criterion(dfa: DfaSpec) -> bool:
+    """True when every letter permutes the states, all are reachable and one accepts.
+
+    Such a DFA is minimal (Myhill-Nerode).  The letters generate a group,
+    so the reachable start reaches every state back and forth: for states
+    p != q, some word w takes p to the accepting state, and w, acting as
+    a bijection, takes q elsewhere, so no two states are equivalent.  The
+    product counter build_dfa(n) meets the criterion, so it certifies the
+    n * n states in O(N log N) for N states.  False does not mean the DFA
+    is not minimal, only that this certificate does not apply.
+    """
+    size = len(dfa.states)
+    return (
+        np.count_nonzero(dfa.accept_mask) == 1
+        and all((np.bincount(row, minlength=size) == 1).all() for row in dfa.successors)
+        and bool(_reachable(dfa.successors, dfa.start_index).all())
+    )
 
 
 def minimize_dfa(dfa: DfaSpec) -> DfaSpec:
@@ -222,38 +368,35 @@ def minimize_dfa(dfa: DfaSpec) -> DfaSpec:
     take at most N rounds of O(N log N) sorting: O(N^2 log N) for a chain
     that splits once per round, n rounds for the n * n product counter.
     A class is named after its lexicographically smallest member; classes
-    keep the order of their first member.
+    keep the order of their first member.  All of it runs on the
+    successor arrays; only the class names are compared as strings.
     """
-    reachable = {dfa.start}
-    frontier = [dfa.start]
-    while frontier:
-        state = frontier.pop()
-        for ch in ALPHABET:
-            nxt = dfa.delta[state][ch]
-            if nxt not in reachable:
-                reachable.add(nxt)
-                frontier.append(nxt)
-    position = {s: i for i, s in enumerate(dfa.states)}
-    states = sorted(reachable, key=position.__getitem__)
-
-    index = {s: i for i, s in enumerate(states)}
-    succ = [np.array([index[dfa.delta[s][ch]] for s in states]) for ch in ALPHABET]
-    block = np.array([s in dfa.accepting for s in states], dtype=np.int64)
+    seen = _reachable(dfa.successors, dfa.start_index)
+    kept = np.flatnonzero(seen)
+    renumber = np.cumsum(seen) - 1
+    succ = renumber[dfa.successors[:, kept]]
+    accept = dfa.accept_mask[kept]
+    size = len(kept)
+    block = accept.astype(np.int64)
     count = 0
     while count != block.max() + 1:
         count = block.max() + 1
         # Re-ranking after each letter keeps the keys below N**2.
         for nxt in succ:
-            _, block = np.unique(block * len(states) + block[nxt], return_inverse=True)
+            _, block = np.unique(block * size + block[nxt], return_inverse=True)
 
-    members: dict[int, list[str]] = {}
-    for s, b in zip(states, block.tolist()):
-        members.setdefault(b, []).append(s)
-    class_of = {s: min(group) for group in members.values() for s in group}
-    new_states = tuple(min(group) for group in members.values())
-    new_delta = {
-        rep: {ch: class_of[dfa.delta[rep][ch]] for ch in ALPHABET}
-        for rep in new_states
-    }
-    new_accepting = frozenset(rep for rep in new_states if rep in dfa.accepting)
-    return DfaSpec(new_states, class_of[dfa.start], new_accepting, new_delta)
+    # Number the classes by their first member; block ids are sorted.
+    _, first = np.unique(block, return_index=True)
+    order = np.argsort(first)
+    rank = np.empty(count, dtype=np.intp)
+    rank[order] = np.arange(count)
+    cls = rank[block]
+    heads = first[order]
+    names = [dfa.states[i] for i in kept.tolist()]
+    smallest = [names[h] for h in heads.tolist()]
+    for name, c in zip(names, cls.tolist()):
+        if name < smallest[c]:
+            smallest[c] = name
+    return DfaSpec.from_arrays(
+        smallest, cls[succ[:, heads]], accept[heads], int(cls[renumber[dfa.start_index]])
+    )

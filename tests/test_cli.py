@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfakit import cli
+from qfakit import cli, divisibility
 from qfakit.divisibility import DfaSpec, build_dfa, dfa_accepts
 from qfakit.circulant import ShiftMatrix, classify_special, iter_powers, quadratic_phase_circulant
 from qfakit.qfa import QfaSpec, accept_probability, validate
@@ -193,6 +193,24 @@ def test_scan_caps_samples_before_scanning(capsys, monkeypatch):
     assert scanned == [(3, 4, cli.SCAN_MAX_SAMPLES, 0)]
 
 
+def test_scan_caps_sample_work_by_n(capsys, monkeypatch):
+    scanned = _record_scans(monkeypatch)
+    for n, samples in [(1001, 1001), (1001, cli.SCAN_MAX_SAMPLES), (143, cli.SCAN_MAX_SAMPLES)]:
+        argv = ["scan", "--n", str(n), "--max-len", "0", "--samples", str(samples)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "SCAN_MAX_SAMPLE_WORK" in err
+    assert scanned == []
+    # The default 1000 samples stay admitted up to the dense-build cap, and
+    # SCAN_MAX_SAMPLES alone binds below n = 141.
+    for n, samples in [(1001, 1000), (141, cli.SCAN_MAX_SAMPLES), (21, 200)]:
+        argv = ["scan", "--n", str(n), "--max-len", "0", "--samples", str(samples), "--json"]
+        assert run_cli(capsys, argv)[0] == 0
+    assert scanned == [(1001, 0, 1000, 0), (141, 0, cli.SCAN_MAX_SAMPLES, 0), (21, 0, 200, 0)]
+    assert run_cli(capsys, ["scan", "--n", "1001", "--max-len", "0", "--json"])[0] == 0
+    assert scanned[-1] == (1001, 0, 1000, 0)
+
+
 def test_scan_caps_exhaustive_work_by_n(capsys, monkeypatch):
     scanned = _record_scans(monkeypatch)
     for n, max_len in [(101, 11), (1001, 4), (1001, 20), (10**6, 0)]:
@@ -369,12 +387,12 @@ def test_compare_skips_minimization_for_large_n(capsys):
     code, out, _ = run_cli(capsys, ["compare", "--n", "103", "--json"])
     assert code == 0
     report = json.loads(out)
-    assert report["dfa_minimized_states"] is None
+    assert report["dfa_minimized_states"] == 103 * 103
     assert report["dfa_states"] == 103 * 103
     code, out, _ = run_cli(capsys, ["compare", "--n", "17", "--json"])
     assert code == 0
     assert json.loads(out)["dfa_minimized_states"] == 289
-    assert cli.compare_report(cli.MINIMIZE_MAX_N)["dfa_minimized_states"] == 101 * 101
+    assert cli.compare_report(101)["dfa_minimized_states"] == 101 * 101
 
 
 @pytest.mark.parametrize(
@@ -387,32 +405,50 @@ def test_dense_build_cap_exits_two(capsys, argv):
     assert "DENSE_MAX_N" in err
 
 
-def test_compare_counts_large_dfa_without_building_it(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"build_dfa({n}) called above the minimization cap")
+def test_compare_certifies_large_dfa_without_minimizing(monkeypatch):
+    def refuse(dfa):
+        raise AssertionError("compare ran the minimizer")
 
-    monkeypatch.setattr(cli, "build_dfa", refuse)
+    monkeypatch.setattr(divisibility, "minimize_dfa", refuse)
     report = cli.compare_report(103)
     assert report["dfa_states"] == 103**2
-    assert report["dfa_minimized_states"] is None
+    assert report["dfa_minimized_states"] == 103**2
     assert report["dfa_to_qfa_state_ratio"] == cli.fmt12(103**2 / 105)
 
 
+def _not_a_permutation(dfa):
+    # a4b0 loops on a instead of returning to a0b0; every state stays
+    # reachable and one accepts.
+    successors = dfa.successors.copy()
+    successors[0, dfa.states.index("a4b0")] = dfa.states.index("a4b0")
+    return DfaSpec.from_arrays(dfa.states, successors, dfa.accept_mask, dfa.start_index)
+
+
+def _two_accepting(dfa):
+    accept_mask = dfa.accept_mask.copy()
+    accept_mask[dfa.states.index("a1b0")] = True
+    return DfaSpec.from_arrays(dfa.states, dfa.successors, accept_mask, dfa.start_index)
+
+
+def _unreachable_state(dfa):
+    # An island that both letters map to itself: the letters still permute.
+    island = len(dfa.states)
+    successors = np.column_stack((dfa.successors, [island, island]))
+    accept_mask = np.append(dfa.accept_mask, False)
+    return DfaSpec.from_arrays(dfa.states + ("island",), successors, accept_mask, dfa.start_index)
+
+
 def test_compare_exits_one_when_the_dfa_is_not_minimal(capsys, monkeypatch):
-    real = cli.minimize_dfa
-
-    def drop_a_state(dfa):
-        small = real(dfa)
-        return DfaSpec(small.states[:-1], small.start, small.accepting, small.delta)
-
-    monkeypatch.setattr(cli, "minimize_dfa", drop_a_state)
-    code, out, _ = run_cli(capsys, ["compare", "--n", "5", "--json"])
-    assert code == 1
-    report = json.loads(out)
-    assert (report["dfa_states"], report["dfa_minimized_states"]) == (25, 24)
-    code, out, _ = run_cli(capsys, ["compare", "--n", "5"])
-    assert code == 1
-    assert "DFA states after minimization: 24" in out
+    # Each mutant breaks one condition of the permutation criterion.
+    for mutate in (_not_a_permutation, _two_accepting, _unreachable_state):
+        monkeypatch.setattr(cli, "build_dfa", lambda n, mutate=mutate: mutate(build_dfa(n)))
+        code, out, _ = run_cli(capsys, ["compare", "--n", "5", "--json"])
+        assert code == 1, mutate.__name__
+        report = json.loads(out)
+        assert report["dfa_minimized_states"] is None
+        code, out, _ = run_cli(capsys, ["compare", "--n", "5"])
+        assert code == 1
+        assert "DFA states certified minimal: None" in out
 
 
 def test_lemmas_refuses_n_above_its_cap(capsys, monkeypatch):
@@ -459,7 +495,7 @@ def test_export_refuses_n_above_the_dfa_cap(tmp_path, capsys, monkeypatch):
     code, stdout, err = run_cli(capsys, ["export", "--n", "103", "--out", str(out)])
     assert code == 2
     assert stdout == ""
-    assert f"MINIMIZE_MAX_N = {cli.MINIMIZE_MAX_N}" in err
+    assert f"EXPORT_MAX_N = {cli.EXPORT_MAX_N}" in err
     assert not out.exists()
 
 

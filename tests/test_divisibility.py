@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfakit.divisibility import (
@@ -19,6 +19,7 @@ from qfakit.divisibility import (
     dfa_accepts,
     exact_accept_probability,
     is_member,
+    meets_permutation_criterion,
     minimize_dfa,
     word_stats,
 )
@@ -285,6 +286,106 @@ def test_minimize_random_dfas_language_and_minimality():
         for i, p in enumerate(small.states):
             for q in small.states[i + 1 :]:
                 assert distinguishable(small, p, q)
+
+
+def reachable_from(dfa, start):
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in dfa.delta[frontier.pop()].values():
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def reference_minimize(dfa):
+    # Reachable states in their order, grouped by the pair closure; a class
+    # keeps the order of its first member and the name of its smallest.
+    reachable = reachable_from(dfa, dfa.start)
+    classes = []
+    for s in (s for s in dfa.states if s in reachable):
+        for group in classes:
+            if not distinguishable(dfa, group[0], s):
+                group.append(s)
+                break
+        else:
+            classes.append([s])
+    name = {s: min(group) for group in classes for s in group}
+    states = tuple(min(group) for group in classes)
+    delta = {rep: {ch: name[dfa.delta[rep][ch]] for ch in ALPHABET} for rep in states}
+    accepting = frozenset(rep for rep in states if rep in dfa.accepting)
+    return states, name[dfa.start], accepting, delta
+
+
+def test_minimize_matches_pair_closure_reference_on_shuffled_names():
+    rng = random.Random(2024)
+    for _ in range(60):
+        size = rng.randint(1, 10)
+        # Shuffled names, so name order and index order disagree.
+        states = [f"s{i}" for i in range(size)]
+        rng.shuffle(states)
+        delta = {s: {ch: rng.choice(states) for ch in ALPHABET} for s in states}
+        accepting = frozenset(s for s in states if rng.random() < 0.4)
+        dfa = DfaSpec(tuple(states), rng.choice(states), accepting, delta)
+        small = minimize_dfa(dfa)
+        assert (small.states, small.start, small.accepting, small.delta) == reference_minimize(dfa)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), size=st.integers(1, 12))
+def test_minimize_keeps_every_state_of_a_permutation_dfa(data, size):
+    # One accepting state, letters that permute, every state reachable:
+    # the criterion certifies the DFA minimal, so nothing may merge.
+    names = data.draw(st.permutations([f"q{i}" for i in range(size)]))
+    perms = [data.draw(st.permutations(range(size))) for _ in ALPHABET]
+    successors = np.array(perms)
+    accepting = np.arange(size) == data.draw(st.integers(0, size - 1))
+    dfa = DfaSpec.from_arrays(names, successors, accepting, 0)
+    assume(len(reachable_from(dfa, dfa.start)) == size)
+    assert meets_permutation_criterion(dfa)
+    assert minimize_dfa(dfa) == dfa
+
+
+@pytest.mark.parametrize("n", [*range(1, 26, 2), 101])
+def test_permutation_criterion_agrees_with_minimizer(n):
+    dfa = build_dfa(n)
+    assert meets_permutation_criterion(dfa)
+    assert len(minimize_dfa(dfa).states) == n * n
+
+
+def test_dfa_spec_is_array_backed_and_immutable():
+    dfa = build_dfa(3)
+    assert dfa.successors.shape == (2, 9)
+    assert dfa.successors[0].tolist() == [3, 4, 5, 6, 7, 8, 0, 1, 2]
+    assert dfa.accept_mask.tolist() == [True] + [False] * 8
+    assert dfa.start_index == 0
+    with pytest.raises(ValueError):
+        dfa.successors[0, 0] = 1
+    with pytest.raises(ValueError):
+        dfa.accept_mask[1] = True
+    with pytest.raises(AttributeError):
+        dfa.start_index = 1
+    assert dfa.delta is dfa.delta
+    # The name-keyed constructor converts to the same arrays.
+    again = DfaSpec(dfa.states, dfa.start, dfa.accepting, dfa.delta)
+    assert again == dfa
+    assert again.successors.dtype == np.intp
+    assert again != build_dfa(2) and again != "a0b0"
+
+
+def test_dfa_from_arrays_rejects_what_does_not_fit():
+    dfa = build_dfa(2)
+    with pytest.raises(ValueError, match="do not fit"):
+        DfaSpec.from_arrays(dfa.states[:3], dfa.successors, dfa.accept_mask, 0)
+    with pytest.raises(ValueError, match="do not fit"):
+        DfaSpec.from_arrays(dfa.states, dfa.successors[:1], dfa.accept_mask, 0)
+    with pytest.raises(ValueError, match="outside"):
+        DfaSpec.from_arrays(dfa.states, dfa.successors + 1, dfa.accept_mask, 0)
+    with pytest.raises(ValueError, match="outside"):
+        DfaSpec.from_arrays(dfa.states, dfa.successors, dfa.accept_mask, 4)
+    with pytest.raises(ValueError, match="duplicate"):
+        DfaSpec(("s", "s"), "s", frozenset(), {"s": {"a": "s", "b": "s"}})
 
 
 def test_minimize_keeps_member_names():
