@@ -1,7 +1,8 @@
 """Small quantum recognizers with numerically certified behaviour.
 
 The package provides exact circulant (shift-matrix) algebra, a
-measure-many one-way quantum automaton simulator, recognizers for the
+measure-many one-way quantum automaton simulator (dense, and in the DFT
+basis for circulant letters), recognizers for the
 language of words whose two letter counts are both divisible by n, the
 minimal classical DFA baseline, and a command-line harness that checks
 the acceptance bounds and the circulant power-classification laws.
@@ -22,6 +23,7 @@ from .divisibility import (
     DfaSpec,
     WordStats,
     build_dfa,
+    build_diagonal_qfa,
     build_qfa,
     counts_in_language,
     dfa_accepts,
@@ -42,6 +44,7 @@ from .modular import (
 from .qfa import (
     LEFT_MARKER,
     RIGHT_MARKER,
+    DiagonalQfa,
     QfaSpec,
     RunResult,
     accept_all_words,
@@ -58,6 +61,7 @@ __all__ = [
     "ALPHABET",
     "DENSE_MAX_N",
     "DfaSpec",
+    "DiagonalQfa",
     "Factorization",
     "LEFT_MARKER",
     "QfaSpec",
@@ -69,6 +73,7 @@ __all__ = [
     "accept_all_words",
     "accept_probability",
     "build_dfa",
+    "build_diagonal_qfa",
     "build_qfa",
     "classify_special",
     "counts_in_language",

@@ -5,7 +5,10 @@ with #a = 0 (mod n) and #b = 0 (mod n).  Two machines are built for it:
 a measure-many one-way quantum automaton whose source-level description
 uses n + 2 states, and the classical product-counter DFA with n * n
 states, which is already minimal.  The gap between those two sizes is
-the point of the construction.
+the point of the construction.  build_qfa gives the quantum recognizer
+as a dense QfaSpec, the general machine and the oracle; build_diagonal_qfa
+gives the same recognizer as a DiagonalQfa, whose letters are stepped in
+the DFT basis at O(n) per letter.
 
 DFAs are stored as int successor arrays.  minimize_dfa is the general
 Moore minimizer; meets_permutation_criterion certifies the product
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .circulant import ShiftMatrix, cyclic_shift_circulant, quadratic_phase_circulant
-from .qfa import LEFT_MARKER, RIGHT_MARKER, QfaSpec
+from .qfa import LEFT_MARKER, RIGHT_MARKER, DiagonalQfa, QfaSpec
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -31,7 +34,8 @@ ALPHABET = ("a", "b")
 # build_qfa stores four dense (2n+1) x (2n+1) complex unitaries, so its
 # memory grows as n**2: build_qfa(1001) took 0.6-0.8 s and 513 MB peak
 # RSS on a 2-vCPU VM.  Above this n it raises ValueError before
-# allocating anything.
+# allocating anything.  build_diagonal_qfa needs O(n) memory, but it keeps
+# the same cap until run and scan are measured above it.
 DENSE_MAX_N = 1001
 
 
@@ -146,6 +150,28 @@ def build_qfa(n: int) -> QfaSpec:
         accepting=frozenset({"acc"}),
         rejecting=frozenset({"rej", *channels}),
         unitaries=unitaries,
+        logical_state_count=n + 2,
+    )
+
+
+def build_diagonal_qfa(n: int) -> DiagonalQfa:
+    """build_qfa(n) as a DiagonalQfa: the same outcome probabilities at O(n) per letter.
+
+    Each letter's spectrum is np.fft.fft of its own circulant's first
+    row; counter 0 accepts at the right marker and every other counter
+    rejects; the state counts are build_qfa's, n + 2 and 2n + 1.  Raises
+    ValueError above DENSE_MAX_N, as build_qfa does.
+    """
+    _require_odd(n)
+    if n > DENSE_MAX_N:
+        raise ValueError(
+            f"n = {n} exceeds DENSE_MAX_N = {DENSE_MAX_N}, the largest n the"
+            " quantum recognizer is built for"
+        )
+    letters = {"a": quadratic_phase_circulant(n), "b": cyclic_shift_circulant(n)}
+    return DiagonalQfa(
+        input_alphabet=ALPHABET,
+        spectra={sym: np.fft.fft(c.first_row) for sym, c in letters.items()},
         logical_state_count=n + 2,
     )
 

@@ -13,16 +13,24 @@ Amplitude vectors are row vectors: unitaries[symbol][i][j] is the
 amplitude for moving from state i to state j, and a step maps psi to
 psi @ U before the observation.
 
-Every simulator is built from the same few pieces: one observation
-helper after each product, step() to apply the left marker (and every
-symbol of a sampled run), and one close that applies the right marker
-and totals the outcomes.  run() steps a single vector; run_many()
-stacks many words into a (rows x dim) matrix and steps them column by
-column; accept_all_words() walks the prefix tree of every word up to a
-length by recursion, so each prefix is stepped once.  The batched
-simulators multiply at most BLOCK_ROWS rows at a time, which keeps
-their memory flat however many words they are given.  Each simulator
-checks that accept + reject + residual stays 1 within CONSERVATION_TOL.
+Two machines share the simulators.  QfaSpec is the general one, with
+one dense unitary per symbol.  DiagonalQfa describes a machine whose
+letters are circulants on n counter states and the identity on the
+halting block, and whose right marker accepts one counter and rejects
+the rest; it keeps each letter's eigenvalues and steps the counter
+amplitudes in the DFT basis, so a letter is one elementwise product and
+the right marker one inverse FFT.
+
+Each machine supplies three pieces: its rows after the left marker,
+"apply letters to rows" (a product followed by one observation), and
+"close rows" (the right marker, then the outcome totals).  run() steps
+a single vector; run_many() stacks many words into a (rows x dim)
+matrix and steps them column by column; accept_all_words() walks the
+prefix tree of every word up to a length by recursion, so each prefix
+is stepped once.  The batched simulators step at most BLOCK_ROWS rows
+at a time, which keeps their memory flat however many words they are
+given.  Each simulator checks that accept + reject + residual stays 1
+within CONSERVATION_TOL.
 """
 
 from __future__ import annotations
@@ -101,6 +109,39 @@ class QfaSpec:
         reject = np.array([s in self.rejecting for s in self.states], dtype=float)
         return accept, reject, (accept + reject == 0).astype(float)
 
+    @cached_property
+    def _letter_matrices(self) -> tuple[np.ndarray, ...]:
+        return tuple(_matrix(self, sym) for sym in self.input_alphabet)
+
+    # The three pieces every simulator is built from; DiagonalQfa has the same.
+
+    def _start(self) -> tuple[np.ndarray, float, float]:
+        """The row after the left marker, and the weights it measures away."""
+        return step(self, initial_superposition(self), LEFT_MARKER)
+
+    def _apply(self, rows: np.ndarray, letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row followed by its letter, observed: (residual, accept, reject).
+
+        letters indexes input_alphabet, one index for every row or one per
+        row; a row is a vector or the last axis of a matrix.
+        """
+        if np.ndim(letters) == 0:
+            return _observe(self, rows @ self._letter_matrices[letters])
+        phi = np.empty_like(rows)
+        for k, matrix in enumerate(self._letter_matrices):
+            hit = letters == k
+            phi[hit] = rows[hit] @ matrix
+        return _observe(self, phi)
+
+    def _close(self, rows: np.ndarray, acc, rej) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Apply the right marker to residual rows and total their outcomes.
+
+        Returns (p_acc, p_rej, p_res): acc and rej plus the weights the
+        marker measures away, and the squared norm left on each row.
+        """
+        residual, acc_inc, rej_inc = _observe(self, rows @ _matrix(self, RIGHT_MARKER))
+        return acc + acc_inc, rej + rej_inc, (np.abs(residual) ** 2).sum(axis=-1)
+
     def to_json_dict(self) -> dict:
         return {
             "states": list(self.states),
@@ -139,6 +180,83 @@ class QfaSpec:
         if problems:
             raise ValueError("invalid automaton: " + "; ".join(problems))
         return spec
+
+
+@dataclass(frozen=True, eq=False)
+class DiagonalQfa:
+    """A circulant-letter automaton stepped in the DFT basis of its counters.
+
+    The machine it describes has n counter states and starts on counter
+    0; the left marker is the identity; each input letter acts on the
+    counters as a circulant and as the identity on the halting states, so
+    nothing halts before the right marker; the right marker sends counter
+    ``accept_counter`` to the accepting state and every other counter to
+    its own rejecting channel.  Realized unitarily that is n counters, one
+    accepting state and n rejecting ones: ``dim`` = 2n + 1.
+
+    ``spectra`` maps each letter to its n eigenvalues, np.fft.fft of the
+    circulant's first row, for which psi @ C transforms to fft(psi) times
+    the eigenvalues.  They are stored as read-only copies behind a
+    read-only mapping and must have unit modulus within UNITARY_TOL, or
+    construction raises ValueError.  ``logical_state_count`` records the
+    size of the source-level description, as in QfaSpec.
+    """
+
+    input_alphabet: tuple[str, ...]
+    spectra: Mapping[str, np.ndarray]
+    logical_state_count: int | None = None
+    accept_counter: int = 0
+
+    # Every counter halts at the right marker, so nothing is left over.
+    reject_residual = False
+
+    def __post_init__(self) -> None:
+        if set(self.spectra) != set(self.input_alphabet):
+            raise ValueError(
+                f"spectra for {sorted(self.spectra)} do not match the input"
+                f" alphabet {sorted(self.input_alphabet)}"
+            )
+        table = np.array([self.spectra[sym] for sym in self.input_alphabet], dtype=complex)
+        if table.ndim != 2 or table.shape[1] == 0:
+            raise ValueError(f"spectra have shape {table.shape}, expected one length n each")
+        for sym, spectrum in zip(self.input_alphabet, table):
+            err = np.abs(np.abs(spectrum) ** 2 - 1.0).max()
+            if not err <= UNITARY_TOL:  # NaN counts as not unitary
+                raise ValueError(f"spectrum of {sym!r} is not unitary (deviation {err:.3e})")
+        if not 0 <= self.accept_counter < table.shape[1]:
+            raise ValueError(
+                f"accepting counter {self.accept_counter} outside 0..{table.shape[1] - 1}"
+            )
+        table.flags.writeable = False
+        object.__setattr__(self, "spectra", MappingProxyType(dict(zip(self.input_alphabet, table))))
+        object.__setattr__(self, "_table", table)
+        # 0/1 floats for the rejecting counters, as QfaSpec's outcome weights.
+        rejecting = (np.arange(table.shape[1]) != self.accept_counter).astype(float)
+        object.__setattr__(self, "_rejecting", rejecting)
+
+    @property
+    def counters(self) -> int:
+        return self._table.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.counters + 1
+
+    def _start(self) -> tuple[np.ndarray, float, float]:
+        # Counter 0 transforms to all ones.
+        return np.ones(self.counters, dtype=complex), 0.0, 0.0
+
+    def _apply(self, rows: np.ndarray, letters) -> tuple[np.ndarray, float, float]:
+        # One gathered elementwise product; nothing halts mid-word.
+        return rows * self._table[letters], 0.0, 0.0
+
+    def _close(self, rows: np.ndarray, acc, rej) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        weights = np.abs(np.fft.ifft(rows, axis=-1)) ** 2
+        return (
+            acc + weights[..., self.accept_counter],
+            rej + weights @ self._rejecting,
+            np.zeros(rows.shape[:-1]),
+        )
 
 
 @dataclass(frozen=True)
@@ -230,10 +348,15 @@ def initial_superposition(spec: QfaSpec) -> np.ndarray:
     return psi
 
 
-def _check_word(spec: QfaSpec, word: str) -> None:
+# The simulators below run either machine.
+Machine = QfaSpec | DiagonalQfa
+
+
+def _check_words(spec: Machine, words: list[str]) -> None:
     allowed = set(spec.input_alphabet)
-    for ch in word:
-        if ch not in allowed:
+    for word in words:
+        if not allowed.issuperset(word):
+            ch = next(ch for ch in word if ch not in allowed)
             raise ValueError(f"symbol {ch!r} not in the input alphabet")
 
 
@@ -251,25 +374,13 @@ def _unconserved(word: str, total: float) -> ValueError:
     )
 
 
-def _result(spec: QfaSpec, p_acc: float, p_rej: float, p_res: float) -> RunResult:
+def _result(spec: Machine, p_acc: float, p_rej: float, p_res: float) -> RunResult:
     if spec.reject_residual:
         return RunResult(p_acc, p_rej + p_res, 0.0)
     return RunResult(p_acc, p_rej, p_res)
 
 
-def _close(
-    spec: QfaSpec, rows: np.ndarray, acc, rej
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the right marker to residual rows and total their outcomes.
-
-    Returns (p_acc, p_rej, p_res): acc and rej plus the weights the
-    marker measures away, and the squared norm left on each row.
-    """
-    residual, acc_inc, rej_inc = _observe(spec, rows @ _matrix(spec, RIGHT_MARKER))
-    return acc + acc_inc, rej + rej_inc, (np.abs(residual) ** 2).sum(axis=-1)
-
-
-def run(spec: QfaSpec, word: str) -> RunResult:
+def run(spec: Machine, word: str) -> RunResult:
     """Feed marker + word + marker through the machine, exactly.
 
     Probabilities come from accumulating the per-step halting weights of
@@ -277,19 +388,20 @@ def run(spec: QfaSpec, word: str) -> RunResult:
     runs are bit-identical.  Raises ValueError when the outcomes do not
     sum to 1 within CONSERVATION_TOL.
     """
-    _check_word(spec, word)
-    psi, p_accept, p_reject = step(spec, initial_superposition(spec), LEFT_MARKER)
+    _check_words(spec, [word])
+    index = {sym: k for k, sym in enumerate(spec.input_alphabet)}
+    psi, p_accept, p_reject = spec._start()
     for symbol in word:
-        psi, acc_inc, rej_inc = _observe(spec, psi @ _matrix(spec, symbol))
+        psi, acc_inc, rej_inc = spec._apply(psi, index[symbol])
         p_accept += acc_inc
         p_reject += rej_inc
-    p_accept, p_reject, p_residual = map(float, _close(spec, psi, p_accept, p_reject))
+    p_accept, p_reject, p_residual = map(float, spec._close(psi, p_accept, p_reject))
     if _first_unconserved(p_accept, p_reject, p_residual) is not None:
         raise _unconserved(word, p_accept + p_reject + p_residual)
     return _result(spec, p_accept, p_reject, p_residual)
 
 
-def _run_block(spec: QfaSpec, words: list[str]) -> np.ndarray:
+def _run_block(spec: Machine, words: list[str]) -> np.ndarray:
     """Rows of (accept, reject, residual) for words sorted longest first.
 
     Column t feeds letter t to the rows whose word is longer than t and
@@ -297,39 +409,34 @@ def _run_block(spec: QfaSpec, words: list[str]) -> np.ndarray:
     longest words first both groups are slices.
     """
     out = np.empty((len(words), 3))
-    codes = np.zeros((len(words), len(words[0])), dtype=np.uint32)
-    for i, word in enumerate(words):
-        codes[i, : len(word)] = np.frombuffer(word.encode("utf-32-le"), dtype=np.uint32)
-    letters = [
-        (ord(sym), _matrix(spec, sym)) for sym in spec.input_alphabet if len(sym) == 1
-    ]
-    first, acc0, rej0 = step(spec, initial_superposition(spec), LEFT_MARKER)
+    lengths = np.array([len(word) for word in words])
+    # letters[i, t] is the index in input_alphabet of letter t of word i;
+    # the words' letters, joined, fill the row-major positions t < length.
+    index = {ord(sym): k for k, sym in enumerate(spec.input_alphabet) if len(sym) == 1}
+    coded = "".join(words).translate(index).encode("utf-32-le")
+    letters = np.zeros((len(words), len(words[0])), dtype=np.intp)
+    letters[np.arange(len(words[0])) < lengths[:, None]] = np.frombuffer(coded, dtype=np.uint32)
+    first, acc0, rej0 = spec._start()
     psi = np.tile(first, (len(words), 1))
     acc = np.full(len(words), acc0)
     rej = np.full(len(words), rej0)
-    lengths = np.array([len(word) for word in words])
     live = len(words)
     for t in range(len(words[0]) + 1):
         active = int(np.count_nonzero(lengths > t))
         if active < live:
             done = slice(active, live)
-            out[done, 0], out[done, 1], out[done, 2] = _close(
-                spec, psi[done], acc[done], rej[done]
+            out[done, 0], out[done, 1], out[done, 2] = spec._close(
+                psi[done], acc[done], rej[done]
             )
         if active:
-            now, column = psi[:active], codes[:active, t]
-            phi = np.empty_like(now)
-            for code, matrix in letters:
-                hit = column == code
-                phi[hit] = now[hit] @ matrix
-            psi, acc_inc, rej_inc = _observe(spec, phi)
+            psi, acc_inc, rej_inc = spec._apply(psi[:active], letters[:active, t])
             acc = acc[:active] + acc_inc
             rej = rej[:active] + rej_inc
         live = active
     return out
 
 
-def run_many(spec: QfaSpec, words: Iterable[str]) -> list[RunResult]:
+def run_many(spec: Machine, words: Iterable[str]) -> list[RunResult]:
     """Run a batch of words; the same results as [run(spec, w) for w in words].
 
     The words may differ in length.  They are stepped together as the
@@ -339,8 +446,7 @@ def run_many(spec: QfaSpec, words: Iterable[str]) -> list[RunResult]:
     outcomes do not sum to 1 within CONSERVATION_TOL.
     """
     words = list(words)
-    for word in words:
-        _check_word(spec, word)
+    _check_words(spec, words)
     order = sorted(range(len(words)), key=lambda i: -len(words[i]))
     outcomes = np.empty((len(words), 3))
     for lo in range(0, len(words), BLOCK_ROWS):
@@ -352,13 +458,13 @@ def run_many(spec: QfaSpec, words: Iterable[str]) -> list[RunResult]:
     return [_result(spec, *row) for row in outcomes.tolist()]
 
 
-def accept_all_words(spec: QfaSpec, max_len: int) -> list[np.ndarray]:
+def accept_all_words(spec: Machine, max_len: int) -> list[np.ndarray]:
     """p_accept of every word up to max_len over spec.input_alphabet.
 
     Entry L holds the words of length L in lexicographic order (the
     order of itertools.product over the alphabet).  The prefix tree is
     walked depth first by recursion, one level per letter, on blocks of
-    rows, so each prefix is stepped once and no product has more than
+    rows, so each prefix is stepped once and no block has more than
     BLOCK_ROWS rows.  The children of a contiguous run of parents are a
     contiguous run of indices one level down, so each block writes its
     results in place.  Raises ValueError naming the first word, in that
@@ -368,9 +474,6 @@ def accept_all_words(spec: QfaSpec, max_len: int) -> list[np.ndarray]:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     alphabet = spec.input_alphabet
     fan_out = len(alphabet)
-    # psi @ fan, reshaped to (rows * fan_out, dim), lists child i*fan_out + s
-    # of parent row i: the parent followed by letter s.
-    fan = np.concatenate([_matrix(spec, sym) for sym in alphabet], axis=1)
     parents_per_block = max(1, BLOCK_ROWS // fan_out)
     probs = [np.empty(fan_out**length) for length in range(max_len + 1)]
     # (length, lex index, accept + reject + residual) of unconserved words
@@ -378,7 +481,7 @@ def accept_all_words(spec: QfaSpec, max_len: int) -> list[np.ndarray]:
 
     def walk(length: int, lo: int, psi: np.ndarray, acc: np.ndarray, rej: np.ndarray) -> None:
         # psi holds the residuals of the words lo, lo + 1, ... of this length.
-        p_acc, p_rej, p_res = _close(spec, psi, acc, rej)
+        p_acc, p_rej, p_res = spec._close(psi, acc, rej)
         probs[length][lo : lo + len(psi)] = p_acc
         i = _first_unconserved(p_acc, p_rej, p_res)
         if i is not None:
@@ -387,7 +490,10 @@ def accept_all_words(spec: QfaSpec, max_len: int) -> list[np.ndarray]:
             return
         for c in range(0, len(psi), parents_per_block):
             part = slice(c, c + parents_per_block)
-            residual, acc_inc, rej_inc = _observe(spec, (psi[part] @ fan).reshape(-1, spec.dim))
+            # Row i * fan_out + s is parent row i followed by letter s.
+            rows = np.repeat(psi[part], fan_out, axis=0)
+            letters = np.arange(len(rows)) % fan_out
+            residual, acc_inc, rej_inc = spec._apply(rows, letters)
             walk(
                 length + 1,
                 (lo + c) * fan_out,
@@ -396,7 +502,7 @@ def accept_all_words(spec: QfaSpec, max_len: int) -> list[np.ndarray]:
                 np.repeat(rej[part], fan_out) + rej_inc,
             )
 
-    first, acc0, rej0 = step(spec, initial_superposition(spec), LEFT_MARKER)
+    first, acc0, rej0 = spec._start()
     walk(0, 0, first[None, :], np.array([acc0]), np.array([rej0]))
     if bad:
         length, index, total = min(bad)
@@ -405,7 +511,7 @@ def accept_all_words(spec: QfaSpec, max_len: int) -> list[np.ndarray]:
     return probs
 
 
-def accept_probability(spec: QfaSpec, word: str) -> float:
+def accept_probability(spec: Machine, word: str) -> float:
     return run(spec, word).p_accept
 
 
@@ -415,7 +521,7 @@ def run_sampled(spec: QfaSpec, word: str, rng: random.Random) -> str:
     Unlike run(), each step draws the observation outcome from rng and
     collapses the state, so this is a single random trial.
     """
-    _check_word(spec, word)
+    _check_words(spec, [word])
     psi = initial_superposition(spec)
     for symbol in (LEFT_MARKER, *word, RIGHT_MARKER):
         residual, p_acc, p_rej = step(spec, psi, symbol)
