@@ -16,7 +16,7 @@ psi @ U before the observation.
 Two machines share the simulators.  QfaSpec is the general one, with
 one dense unitary per symbol.  DiagonalQfa describes a machine whose
 letters are circulants on n counter states and the identity on the
-halting block, and whose right marker accepts one counter and rejects
+halting block, and whose right marker accepts counter 0 and rejects
 the rest; it keeps each letter's eigenvalues and steps the counter
 amplitudes in the DFT basis, so a letter is one elementwise product and
 the right marker one inverse FFT.
@@ -190,9 +190,9 @@ class DiagonalQfa:
     0; the left marker is the identity; each input letter acts on the
     counters as a circulant and as the identity on the halting states, so
     nothing halts before the right marker; the right marker sends counter
-    ``accept_counter`` to the accepting state and every other counter to
-    its own rejecting channel.  Realized unitarily that is n counters, one
-    accepting state and n rejecting ones: ``dim`` = 2n + 1.
+    0 to the accepting state and every other counter to its own rejecting
+    channel.  Realized unitarily that is n counters, one accepting state
+    and n rejecting ones: ``dim`` = 2n + 1.
 
     ``spectra`` maps each letter to its n eigenvalues, np.fft.fft of the
     circulant's first row, for which psi @ C transforms to fft(psi) times
@@ -205,7 +205,6 @@ class DiagonalQfa:
     input_alphabet: tuple[str, ...]
     spectra: Mapping[str, np.ndarray]
     logical_state_count: int | None = None
-    accept_counter: int = 0
 
     # Every counter halts at the right marker, so nothing is left over.
     reject_residual = False
@@ -223,16 +222,9 @@ class DiagonalQfa:
             err = np.abs(np.abs(spectrum) ** 2 - 1.0).max()
             if not err <= UNITARY_TOL:  # NaN counts as not unitary
                 raise ValueError(f"spectrum of {sym!r} is not unitary (deviation {err:.3e})")
-        if not 0 <= self.accept_counter < table.shape[1]:
-            raise ValueError(
-                f"accepting counter {self.accept_counter} outside 0..{table.shape[1] - 1}"
-            )
         table.flags.writeable = False
         object.__setattr__(self, "spectra", MappingProxyType(dict(zip(self.input_alphabet, table))))
         object.__setattr__(self, "_table", table)
-        # 0/1 floats for the rejecting counters, as QfaSpec's outcome weights.
-        rejecting = (np.arange(table.shape[1]) != self.accept_counter).astype(float)
-        object.__setattr__(self, "_rejecting", rejecting)
 
     @property
     def counters(self) -> int:
@@ -253,8 +245,8 @@ class DiagonalQfa:
     def _close(self, rows: np.ndarray, acc, rej) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         weights = np.abs(np.fft.ifft(rows, axis=-1)) ** 2
         return (
-            acc + weights[..., self.accept_counter],
-            rej + weights @ self._rejecting,
+            acc + weights[..., 0],
+            rej + weights[..., 1:].sum(axis=-1),
             np.zeros(rows.shape[:-1]),
         )
 

@@ -43,7 +43,6 @@ def test_structure_matches_the_dense_machine(n):
     assert machine.counters == n
     assert machine.dim == dense.dim == 2 * n + 1
     assert machine.logical_state_count == dense.logical_state_count == n + 2
-    assert machine.accept_counter == 0
     # Each spectrum is the fft of the letter's own first row, bit for bit.
     rows = {"a": quadratic_phase_circulant(n), "b": cyclic_shift_circulant(n)}
     for sym, circulant in rows.items():
@@ -98,8 +97,6 @@ def test_construction_refuses_what_is_not_a_machine():
         DiagonalQfa(("a",), dict(good))
     with pytest.raises(ValueError):
         DiagonalQfa(("a", "b"), {"a": good["a"], "b": np.ones(4)})
-    with pytest.raises(ValueError, match="accepting counter 5"):
-        DiagonalQfa(("a", "b"), dict(good), accept_counter=5)
 
 
 @pytest.mark.parametrize("n", ORACLE_NS)
@@ -161,15 +158,24 @@ def test_run_scan_and_compare_build_no_dense_machine(capsys, monkeypatch):
     assert (report["qfa_logical_states"], report["qfa_internal_states"]) == (47, 91)
 
 
-def _swapped(machine):
+def _swapped(machine, monkeypatch):
     return replace(machine, spectra={"a": machine.spectra["b"], "b": machine.spectra["a"]})
 
 
-def _accepts_counter_one(machine):
-    return replace(machine, accept_counter=1)
+def _accepts_counter_one(machine, monkeypatch):
+    close = DiagonalQfa._close
+
+    def moved(self, rows, acc, rej):
+        # A DFT times exp(2 pi i m / n) is the counters moved down by one,
+        # so counter 1 lands where counter 0 is accepted.
+        n = rows.shape[-1]
+        return close(self, rows * np.exp(2j * np.pi * np.arange(n) / n), acc, rej)
+
+    monkeypatch.setattr(DiagonalQfa, "_close", moved)
+    return machine
 
 
-def _phase_nudged(machine):
+def _phase_nudged(machine, monkeypatch):
     spectrum = machine.spectra["a"].copy()
     spectrum[1] *= cmath.exp(1e-6j)
     return replace(machine, spectra={**machine.spectra, "a": spectrum})
@@ -177,9 +183,9 @@ def _phase_nudged(machine):
 
 @pytest.mark.parametrize("mutate", [_swapped, _accepts_counter_one, _phase_nudged])
 @pytest.mark.parametrize("n", [3, 9, 21])
-def test_mutant_machines_disagree_with_the_dense_oracle(mutate, n):
+def test_mutant_machines_disagree_with_the_dense_oracle(monkeypatch, mutate, n):
     # The comparison at 1e-12 must tell each wrong machine from the right one.
-    mutant = accept_all_words(mutate(build_diagonal_qfa(n)), 6)
+    mutant = accept_all_words(mutate(build_diagonal_qfa(n), monkeypatch), 6)
     dense = accept_all_words(build_qfa(n), 6)
     assert max(np.abs(m - q).max() for m, q in zip(mutant, dense)) > 1e-9
 
