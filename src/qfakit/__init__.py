@@ -36,8 +36,6 @@ from .divisibility import (
 from .modular import (
     Factorization,
     factorize,
-    gcd,
-    mod_div,
     quad_exp_sum,
     shift_invariance_check,
 )
@@ -81,13 +79,11 @@ __all__ = [
     "dfa_accepts",
     "exact_accept_probability",
     "factorize",
-    "gcd",
     "initial_superposition",
     "is_member",
     "iter_powers",
     "meets_permutation_criterion",
     "minimize_dfa",
-    "mod_div",
     "quad_exp_sum",
     "quadratic_phase_circulant",
     "quadratic_power_rows",

@@ -32,7 +32,6 @@ from .circulant import (
 )
 from .divisibility import (
     ALPHABET,
-    DENSE_MAX_N,
     build_dfa,
     build_diagonal_qfa,
     build_qfa as build_dense_qfa,
@@ -48,7 +47,7 @@ from .qfa import accept_all_words, run, run_many
 # basis.  They look it up by this name when called, so the dense QfaSpec
 # of divisibility.build_qfa, the oracle, or a hand-built machine can take
 # its place.  export writes the dense machine.
-build_qfa = build_diagonal_qfa
+build_machine = build_diagonal_qfa
 
 PROB_TOL = 1e-9
 SHUFFLE_TOL = 1e-12
@@ -60,23 +59,21 @@ EXPORT_MAX_N = 101
 # --max-len 18 takes about 0.5 s and --max-len 20 about 1.5 s, and every
 # further length doubles the time and the memory.
 SCAN_MAX_LEN = 20
-# The sweep up to max-len L is charged (2**(L + 1) - 1) * (2n + 1)**2, the
-# cost of one dense product at dimension 2n + 1 per word, and scan admits no
-# more than its largest run at n = 3 (L = 20) is charged: at n = 101 that
-# is L <= 10, at n = 1001 L <= 3.  scan now steps the machine in the DFT
-# basis at O(n) per letter, so the charge overstates the cost; the cap
-# stays as it is until it is measured again.
-SCAN_MAX_WORK = (2 ** (SCAN_MAX_LEN + 1) - 1) * 7**2
 # scan holds every sampled word, its shuffled copy and both results before
 # judging them: 20000 samples take about 0.7 s and 49 MB peak RSS at n = 3,
 # 50000 about 1.5 s and 77 MB, and both grow linearly.
 SCAN_MAX_SAMPLES = 50000
-# The sampled words are charged samples * (2n + 1)**2, as if stepped by
-# dense products at dimension 2n + 1 (about 12 s for the default 1000
-# samples at DENSE_MAX_N), and scan admits up to that charge, so
-# SCAN_MAX_SAMPLES binds below n = 141 and this above.  In the DFT basis
-# those 1000 samples take about 0.2 s; the cap stays until it is measured.
-SCAN_MAX_SAMPLE_WORK = 1000 * (2 * DENSE_MAX_N + 1) ** 2
+# scan simulates 2**(L + 1) - 1 exhaustive words and 2 * samples sampled
+# ones (each sample and its shuffled copy) and is charged n per word: a
+# letter costs O(n) in the DFT basis, and the inverse FFT that closes each
+# word dominates (an exhaustive word took 0.6 us at n = 3 and 40 us at
+# n = 1001 on a 2-vCPU VM).  The cap admits every run that the former dense
+# (2n + 1)**2 charges admitted (the largest, n = 141, L = 9 with 50000
+# samples, is charged 14.2M), and at n = 1001 up to L = 13 (0.9 s, 65 MB
+# peak RSS) or 8379 samples (2.2 s, 39 MB).  Its slowest new run, n = 101,
+# L = 15 with 50000 samples (3.9 s, fresh processes), is faster than n = 3,
+# L = 20 with 50000 samples (4.3 s).
+SCAN_MAX_WORK = 2**24
 # The largest n lemmas admits.  lemma_report streams the powers in blocks
 # of O(n) memory and costs O(n**2 log n): on a 2-vCPU VM `lemmas --n 3001`
 # took about 1.0 s and 37 MB peak RSS, `lemmas --n 10001` 11-12 s and
@@ -144,7 +141,7 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     a counterexample.  Counterexamples come in scan order; a sampled
     word's bound violation comes before its shuffle variance.
     """
-    spec = build_qfa(n)
+    spec = build_machine(n)
     bound = 1.0 / factorize(n).p_min
     started = time.perf_counter()
     levels = accept_all_words(spec, max_len)
@@ -266,12 +263,12 @@ def compare_report(n: int) -> dict:
     build_dfa(n)'s n * n states are certified minimal by the permutation
     criterion (meets_permutation_criterion): each letter permutes the
     states, all are reachable and exactly one accepts.  That costs
-    O(n**2 log n) on the successor arrays, at every n build_qfa admits.
+    O(n**2 log n) on the successor arrays, at every n build_machine admits.
     dfa_minimized_states is n * n when the criterion holds and None when
     it does not.  The quantum state counts are read from the machine in
     the DFT basis, which holds no dense unitary.
     """
-    qfa_spec = build_qfa(n)
+    qfa_spec = build_machine(n)
     dfa_spec = build_dfa(n)
     dfa_states = len(dfa_spec.states)
     return {
@@ -286,7 +283,7 @@ def compare_report(n: int) -> dict:
 
 def cmd_run(args: argparse.Namespace) -> int:
     stats = word_stats(args.word)
-    spec = build_qfa(args.n)
+    spec = build_machine(args.n)
     result = run(spec, args.word)
     member = is_member(args.word, args.n)
     bound = 1.0 / factorize(args.n).p_min
@@ -315,6 +312,28 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if not 0 <= args.seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    if args.max_len < 0:
+        raise ValueError("max-len must be non-negative")
+    if args.max_len > SCAN_MAX_LEN:
+        raise ValueError(
+            f"max-len must be at most {SCAN_MAX_LEN}; the exhaustive scan"
+            " holds 2**max-len probabilities per length"
+        )
+    if args.samples < 0:
+        raise ValueError("samples must be non-negative")
+    if args.samples > SCAN_MAX_SAMPLES:
+        raise ValueError(
+            f"samples must be at most {SCAN_MAX_SAMPLES}; the scan holds"
+            " every sampled word and its result"
+        )
+    if (2 ** (args.max_len + 1) - 1 + 2 * args.samples) * args.n > SCAN_MAX_WORK:
+        raise ValueError(
+            f"max-len {args.max_len} and {args.samples} samples are too many"
+            f" words at n = {args.n}; the scan may cost at most SCAN_MAX_WORK ="
+            f" {SCAN_MAX_WORK} = (2**(max-len + 1) - 1 + 2 * samples) * n"
+        )
     report = scan_report(args.n, args.max_len, args.samples, args.seed)
     if args.json:
         print(_dumps(report))
@@ -373,12 +392,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     if args.n > EXPORT_MAX_N:
-        print(
-            f"error: n = {args.n} exceeds EXPORT_MAX_N = {EXPORT_MAX_N}; the"
-            " export of the unitaries and the DFA grows as n**2",
-            file=sys.stderr,
+        raise ValueError(
+            f"n = {args.n} exceeds EXPORT_MAX_N = {EXPORT_MAX_N}; the"
+            " export of the unitaries and the DFA grows as n**2"
         )
-        return 2
     files = {
         "qfa.json": build_dense_qfa(args.n).to_json_dict(),
         "dfa.json": build_dfa(args.n).to_json_dict(),
@@ -445,50 +462,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) < 0 or getattr(args, "seed", 0) >= 2**64:
-        print("error: seed must fit in an unsigned 64-bit integer", file=sys.stderr)
-        return 2
-    if getattr(args, "max_len", 0) < 0:
-        print("error: max-len must be non-negative", file=sys.stderr)
-        return 2
-    if getattr(args, "max_len", 0) > SCAN_MAX_LEN:
-        print(
-            f"error: max-len must be at most {SCAN_MAX_LEN}; the exhaustive scan"
-            " holds 2**max-len probabilities per length",
-            file=sys.stderr,
-        )
-        return 2
-    if hasattr(args, "max_len") and (
-        (2 ** (args.max_len + 1) - 1) * (2 * args.n + 1) ** 2 > SCAN_MAX_WORK
-    ):
-        print(
-            f"error: max-len {args.max_len} is too long at n = {args.n}; the"
-            " exhaustive scan may cost at most SCAN_MAX_WORK ="
-            f" {SCAN_MAX_WORK} = (2**(max-len + 1) - 1) * (2n + 1)**2",
-            file=sys.stderr,
-        )
-        return 2
-    if getattr(args, "samples", 0) < 0:
-        print("error: samples must be non-negative", file=sys.stderr)
-        return 2
-    if getattr(args, "samples", 0) > SCAN_MAX_SAMPLES:
-        print(
-            f"error: samples must be at most {SCAN_MAX_SAMPLES}; the scan holds"
-            " every sampled word and its result",
-            file=sys.stderr,
-        )
-        return 2
-    if hasattr(args, "samples") and args.samples * (2 * args.n + 1) ** 2 > SCAN_MAX_SAMPLE_WORK:
-        print(
-            f"error: {args.samples} samples are too many at n = {args.n}; the"
-            " sampled words may cost at most SCAN_MAX_SAMPLE_WORK ="
-            f" {SCAN_MAX_SAMPLE_WORK} = samples * (2n + 1)**2",
-            file=sys.stderr,
-        )
-        return 2
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Exact residue arithmetic and quadratic exponential sums.
+"""Factorization, roots-of-unity tables and quadratic exponential sums.
 
 Everything here is integer-exact except the exponential sums, which
 add complex-double phases.  Phases are not computed one exp call per
@@ -11,34 +11,10 @@ they become int64, so nothing overflows or wraps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, positive, rejecting gcd(0, 0)."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
-
-
-def mod_div(a: int, b: int, n: int) -> int:
-    """Return the unique c in 0..n-1 with c*b = a (mod n).
-
-    Requires gcd(b, n) = 1; a and b are reduced mod n first.
-    """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    a %= n
-    b %= n
-    if b == 0:
-        raise ZeroDivisionError(f"division by zero residue mod {n}")
-    if math.gcd(b, n) != 1:
-        raise ValueError(f"{b} is not invertible mod {n}")
-    return (a * pow(b, -1, n)) % n
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -193,36 +194,68 @@ def test_scan_caps_samples_before_scanning(capsys, monkeypatch):
     assert scanned == [(3, 4, cli.SCAN_MAX_SAMPLES, 0)]
 
 
+def _too_many_words(n, max_len, samples):
+    return f"max-len {max_len} and {samples} samples are too many words at n = {n}"
+
+
 def test_scan_caps_sample_work_by_n(capsys, monkeypatch):
     scanned = _record_scans(monkeypatch)
-    for n, samples in [(1001, 1001), (1001, cli.SCAN_MAX_SAMPLES), (143, cli.SCAN_MAX_SAMPLES)]:
-        argv = ["scan", "--n", str(n), "--max-len", "0", "--samples", str(samples)]
-        code, out, err = run_cli(capsys, argv)
-        assert code == 2 and out == ""
-        assert "SCAN_MAX_SAMPLE_WORK" in err
+    # Just above SCAN_MAX_WORK at n = 1001: 1 + 2 * 8380 words.
+    argv = ["scan", "--n", "1001", "--max-len", "0", "--samples", "8380"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert _too_many_words(1001, 0, 8380) in err
+    assert f"SCAN_MAX_WORK = {cli.SCAN_MAX_WORK}" in err
     assert scanned == []
-    # The default 1000 samples stay admitted up to the dense-build cap, and
-    # SCAN_MAX_SAMPLES alone binds below n = 141.
-    for n, samples in [(1001, 1000), (141, cli.SCAN_MAX_SAMPLES), (21, 200)]:
+    # The dense-era charge refused (1001, 1001) and (143, 50000); SCAN_MAX_SAMPLES
+    # alone binds up to n = 167.
+    admitted = [(1001, 8379), (1001, 1001), (1001, 1000), (167, 50000), (143, 50000), (21, 200)]
+    for n, samples in admitted:
         argv = ["scan", "--n", str(n), "--max-len", "0", "--samples", str(samples), "--json"]
         assert run_cli(capsys, argv)[0] == 0
-    assert scanned == [(1001, 0, 1000, 0), (141, 0, cli.SCAN_MAX_SAMPLES, 0), (21, 0, 200, 0)]
+    assert scanned == [(n, 0, samples, 0) for n, samples in admitted]
+    assert run_cli(capsys, ["scan", "--n", "169", "--max-len", "0", "--samples", "50000"])[0] == 2
     assert run_cli(capsys, ["scan", "--n", "1001", "--max-len", "0", "--json"])[0] == 0
     assert scanned[-1] == (1001, 0, 1000, 0)
 
 
 def test_scan_caps_exhaustive_work_by_n(capsys, monkeypatch):
     scanned = _record_scans(monkeypatch)
-    for n, max_len in [(101, 11), (1001, 4), (1001, 20), (10**6, 0)]:
-        code, out, err = run_cli(capsys, ["scan", "--n", str(n), "--max-len", str(max_len)])
+    # (1001, 14) is just above SCAN_MAX_WORK: 2**15 - 1 words.
+    for n, max_len, samples in [(1001, 14, 0), (1001, 20, 0), (10**6, 0, 1000)]:
+        argv = ["scan", "--n", str(n), "--max-len", str(max_len), "--samples", str(samples)]
+        code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
-        assert f"max-len {max_len} is too long at n = {n}" in err
+        assert _too_many_words(n, max_len, samples) in err
     assert scanned == []
-    admitted = [(3, 20), (3, 18), (21, 10), (101, 10), (1001, 3)]
+    # The dense-era charge refused (101, 11) and (1001, 4).
+    admitted = [(3, 20), (3, 18), (21, 10), (101, 10), (101, 11), (1001, 3), (1001, 4), (1001, 13)]
     for n, max_len in admitted:
-        argv = ["scan", "--n", str(n), "--max-len", str(max_len), "--json"]
+        argv = ["scan", "--n", str(n), "--max-len", str(max_len), "--samples", "0", "--json"]
         assert run_cli(capsys, argv)[0] == 0
     assert [args[:2] for args in scanned] == admitted
+
+
+def _dense_era_caps(n):
+    # The caps as the dense charge set them, frozen here as the oracle: one
+    # (2n + 1)**2 product per word, the exhaustive part up to its value at
+    # n = 3, L = 20 and the samples up to 1000 at n = 1001.
+    dense = (2 * n + 1) ** 2
+    max_len = max(L for L in range(21) if (2 ** (L + 1) - 1) * dense <= (2**21 - 1) * 7**2)
+    samples = min(50000, 1000 * 2003**2 // dense)
+    return max_len, samples
+
+
+def test_scan_admits_every_run_the_dense_caps_admitted(capsys, monkeypatch):
+    scanned = _record_scans(monkeypatch)
+    expected = []
+    for n in range(3, 1002, 2):
+        max_len, samples = _dense_era_caps(n)
+        expected.append((n, max_len, samples, 0))
+        args = argparse.Namespace(n=n, max_len=max_len, samples=samples, seed=0, json=True)
+        assert cli.cmd_scan(args) == 0, (n, max_len, samples)
+    assert scanned == expected
+    assert expected[69] == (141, 9, 50000, 0) and expected[-1] == (1001, 3, 1000, 0)
 
 
 def test_scan_rejects_negative_seed(capsys):
@@ -489,7 +522,7 @@ def test_export_refuses_n_above_the_dfa_cap(tmp_path, capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"machine built for n = {n} above the export cap")
 
-    monkeypatch.setattr(cli, "build_qfa", refuse)
+    monkeypatch.setattr(cli, "build_dense_qfa", refuse)
     monkeypatch.setattr(cli, "build_dfa", refuse)
     out = tmp_path / "export"
     code, stdout, err = run_cli(capsys, ["export", "--n", "103", "--out", str(out)])

@@ -134,7 +134,7 @@ SCAN_ARGS = [
 @pytest.mark.parametrize("args", SCAN_ARGS)
 def test_scan_report_is_the_same_on_both_machines(monkeypatch, args):
     diagonal = cli.scan_report(*args)
-    monkeypatch.setattr(cli, "build_qfa", build_qfa)
+    monkeypatch.setattr(cli, "build_machine", build_qfa)
     dense = cli.scan_report(*args)
     diagonal.pop("elapsed")
     dense.pop("elapsed")

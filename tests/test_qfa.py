@@ -387,7 +387,7 @@ def test_conservation_is_checked_by_every_simulator():
 
 
 def test_cli_exits_two_on_unconserved_probability(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "build_qfa", lambda n: _leaky_spec())
+    monkeypatch.setattr(cli, "build_machine", lambda n: _leaky_spec())
     assert cli.main(["scan", "--n", "3", "--max-len", "3", "--samples", "5"]) == 2
     assert "not conserved on word 'a'" in capsys.readouterr().err
     assert cli.main(["run", "--n", "3", "--word", "bab"]) == 2
