@@ -36,12 +36,11 @@ from .divisibility import (
     build_diagonal_qfa,
     build_qfa as build_dense_qfa,
     counts_in_language,
-    is_member,
     meets_permutation_criterion,
     word_stats,
 )
 from .modular import factorize
-from .qfa import accept_all_words, run, run_many
+from .qfa import _spell, accept_all_words, run, run_many
 
 # The machine run, scan and compare simulate: the recognizer in the DFT
 # basis.  They look it up by this name when called, so the dense QfaSpec
@@ -116,12 +115,6 @@ def _bound_violation(member: bool, word: str, p: float) -> dict:
     return {"kind": kind, "word": word, "p_accept": fmt12(p)}
 
 
-def _spell(length: int, index: int) -> str:
-    # Word number index of this length in accept_all_words' order: index
-    # in binary, most significant letter first, with a = 0 and b = 1.
-    return "".join(ALPHABET[index >> k & 1] for k in reversed(range(length)))
-
-
 def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     """Sweep words and compare acceptance probabilities to the bounds.
 
@@ -164,7 +157,7 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
         member = counts_in_language(length - count_b, count_b, n)
         wrong, lowest, highest = _judge(member, p, bound, lowest, highest)
         for i in np.flatnonzero(wrong).tolist():
-            counterexamples.append(_bound_violation(member[i], _spell(length, i), p[i]))
+            counterexamples.append(_bound_violation(member[i], _spell(ALPHABET, length, i), p[i]))
 
     words = sampled[::2]
     p = np.array([result.p_accept for result in results[::2]])
@@ -285,7 +278,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     stats = word_stats(args.word)
     spec = build_machine(args.n)
     result = run(spec, args.word)
-    member = is_member(args.word, args.n)
+    member = counts_in_language(stats.count_a, stats.count_b, args.n)
     bound = 1.0 / factorize(args.n).p_min
     payload = {
         "n": args.n,

@@ -172,7 +172,6 @@ def build_diagonal_qfa(n: int) -> DiagonalQfa:
     return DiagonalQfa(
         input_alphabet=ALPHABET,
         spectra={sym: np.fft.fft(c.first_row) for sym, c in letters.items()},
-        logical_state_count=n + 2,
     )
 
 

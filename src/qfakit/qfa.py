@@ -21,16 +21,17 @@ the rest; it keeps each letter's eigenvalues and steps the counter
 amplitudes in the DFT basis, so a letter is one elementwise product and
 the right marker one inverse FFT.
 
-Each machine supplies three pieces: its rows after the left marker,
-"apply letters to rows" (a product followed by one observation), and
-"close rows" (the right marker, then the outcome totals).  run() steps
-a single vector; run_many() stacks many words into a (rows x dim)
-matrix and steps them column by column; accept_all_words() walks the
-prefix tree of every word up to a length by recursion, so each prefix
-is stepped once.  The batched simulators step at most BLOCK_ROWS rows
-at a time, which keeps their memory flat however many words they are
-given.  Each simulator checks that accept + reject + residual stays 1
-within CONSERVATION_TOL.
+The simulators read a machine only through its input_alphabet and three
+pieces: its rows after the left marker, "apply letters to rows" (a
+product followed by one observation), and "close rows" (the right
+marker, then the outcome totals, with the residual folded into
+rejection when a QfaSpec asks for it).  run() steps a single vector;
+run_many() stacks many words into a (rows x dim) matrix and steps them
+column by column; accept_all_words() walks the prefix tree of every word
+up to a length by recursion, so each prefix is stepped once.  The
+batched simulators step at most BLOCK_ROWS rows at a time, which keeps
+their memory flat however many words they are given.  Each simulator
+checks that accept + reject + residual stays 1 within CONSERVATION_TOL.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, product
 from types import MappingProxyType
 
 import numpy as np
@@ -67,9 +67,9 @@ class QfaSpec:
     state set in the source-level description when the realized
     unitaries use extra basis states (e.g. parallel rejecting channels
     added to make a many-to-one end-of-input map unitary).
-    ``reject_residual`` makes the simulators fold any leftover non-halting
-    probability into rejection, for callers that want a two-outcome
-    language recognizer.
+    ``reject_residual`` makes the right marker (_close) fold any leftover
+    non-halting probability into rejection, for callers that want a
+    two-outcome language recognizer.
     """
 
     states: tuple[str, ...]
@@ -113,7 +113,7 @@ class QfaSpec:
     def _letter_matrices(self) -> tuple[np.ndarray, ...]:
         return tuple(_matrix(self, sym) for sym in self.input_alphabet)
 
-    # The three pieces every simulator is built from; DiagonalQfa has the same.
+    # With input_alphabet, all that the simulators read; DiagonalQfa has the same.
 
     def _start(self) -> tuple[np.ndarray, float, float]:
         """The row after the left marker, and the weights it measures away."""
@@ -137,10 +137,14 @@ class QfaSpec:
         """Apply the right marker to residual rows and total their outcomes.
 
         Returns (p_acc, p_rej, p_res): acc and rej plus the weights the
-        marker measures away, and the squared norm left on each row.
+        marker measures away, and the squared norm left on each row.  With
+        reject_residual set, p_rej takes p_res in and p_res is 0.
         """
         residual, acc_inc, rej_inc = _observe(self, rows @ _matrix(self, RIGHT_MARKER))
-        return acc + acc_inc, rej + rej_inc, (np.abs(residual) ** 2).sum(axis=-1)
+        p_res = (np.abs(residual) ** 2).sum(axis=-1)
+        if self.reject_residual:
+            return acc + acc_inc, rej + rej_inc + p_res, np.zeros(np.shape(p_res))
+        return acc + acc_inc, rej + rej_inc, p_res
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,16 +202,13 @@ class DiagonalQfa:
     circulant's first row, for which psi @ C transforms to fft(psi) times
     the eigenvalues.  They are stored as read-only copies behind a
     read-only mapping and must have unit modulus within UNITARY_TOL, or
-    construction raises ValueError.  ``logical_state_count`` records the
-    size of the source-level description, as in QfaSpec.
+    construction raises ValueError.  ``logical_state_count`` is the size
+    of the source-level description, n counters plus one accepting and
+    one rejecting state: n + 2.
     """
 
     input_alphabet: tuple[str, ...]
     spectra: Mapping[str, np.ndarray]
-    logical_state_count: int | None = None
-
-    # Every counter halts at the right marker, so nothing is left over.
-    reject_residual = False
 
     def __post_init__(self) -> None:
         if set(self.spectra) != set(self.input_alphabet):
@@ -234,6 +235,10 @@ class DiagonalQfa:
     def dim(self) -> int:
         return 2 * self.counters + 1
 
+    @property
+    def logical_state_count(self) -> int:
+        return self.counters + 2
+
     def _start(self) -> tuple[np.ndarray, float, float]:
         # Counter 0 transforms to all ones.
         return np.ones(self.counters, dtype=complex), 0.0, 0.0
@@ -243,6 +248,7 @@ class DiagonalQfa:
         return rows * self._table[letters], 0.0, 0.0
 
     def _close(self, rows: np.ndarray, acc, rej) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Every counter halts at the right marker, so nothing is left over.
         weights = np.abs(np.fft.ifft(rows, axis=-1)) ** 2
         return (
             acc + weights[..., 0],
@@ -366,10 +372,11 @@ def _unconserved(word: str, total: float) -> ValueError:
     )
 
 
-def _result(spec: Machine, p_acc: float, p_rej: float, p_res: float) -> RunResult:
-    if spec.reject_residual:
-        return RunResult(p_acc, p_rej + p_res, 0.0)
-    return RunResult(p_acc, p_rej, p_res)
+def _spell(alphabet: tuple[str, ...], length: int, index: int) -> str:
+    # Word number index of this length in accept_all_words' order, that of
+    # itertools.product: index in base len(alphabet), most significant first.
+    base = len(alphabet)
+    return "".join(alphabet[index // base**k % base] for k in reversed(range(length)))
 
 
 def run(spec: Machine, word: str) -> RunResult:
@@ -390,7 +397,7 @@ def run(spec: Machine, word: str) -> RunResult:
     p_accept, p_reject, p_residual = map(float, spec._close(psi, p_accept, p_reject))
     if _first_unconserved(p_accept, p_reject, p_residual) is not None:
         raise _unconserved(word, p_accept + p_reject + p_residual)
-    return _result(spec, p_accept, p_reject, p_residual)
+    return RunResult(p_accept, p_reject, p_residual)
 
 
 def _run_block(spec: Machine, words: list[str]) -> np.ndarray:
@@ -447,7 +454,7 @@ def run_many(spec: Machine, words: Iterable[str]) -> list[RunResult]:
     bad = _first_unconserved(*outcomes.T)
     if bad is not None:
         raise _unconserved(words[bad], float(outcomes[bad].sum()))
-    return [_result(spec, *row) for row in outcomes.tolist()]
+    return [RunResult(*row) for row in outcomes.tolist()]
 
 
 def accept_all_words(spec: Machine, max_len: int) -> list[np.ndarray]:
@@ -459,8 +466,9 @@ def accept_all_words(spec: Machine, max_len: int) -> list[np.ndarray]:
     rows, so each prefix is stepped once and no block has more than
     BLOCK_ROWS rows.  The children of a contiguous run of parents are a
     contiguous run of indices one level down, so each block writes its
-    results in place.  Raises ValueError naming the first word, in that
-    order, whose outcomes do not sum to 1 within CONSERVATION_TOL.
+    results in place; words are never spelled out, except to name in
+    ValueError the first word, in that order, whose outcomes do not sum
+    to 1 within CONSERVATION_TOL.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
@@ -498,8 +506,7 @@ def accept_all_words(spec: Machine, max_len: int) -> list[np.ndarray]:
     walk(0, 0, first[None, :], np.array([acc0]), np.array([rej0]))
     if bad:
         length, index, total = min(bad)
-        word = next(islice(product(alphabet, repeat=length), index, None))
-        raise _unconserved("".join(word), total)
+        raise _unconserved(_spell(alphabet, length, index), total)
     return probs
 
 

@@ -265,6 +265,15 @@ def test_scan_rejects_negative_seed(capsys):
     assert code == 2 and "seed" in err
 
 
+def test_scan_rejects_negative_max_len_and_samples(capsys, monkeypatch):
+    scanned = _record_scans(monkeypatch)
+    code, out, err = run_cli(capsys, ["scan", "--n", "3", "--max-len", "-1"])
+    assert code == 2 and out == "" and "error: max-len must be non-negative" in err
+    code, out, err = run_cli(capsys, ["scan", "--n", "3", "--samples", "-1"])
+    assert code == 2 and out == "" and "error: samples must be non-negative" in err
+    assert scanned == []
+
+
 def test_lemmas_prime(capsys):
     code, out, _ = run_cli(capsys, ["lemmas", "--n", "3", "--json"])
     assert code == 0

@@ -99,6 +99,18 @@ def test_construction_refuses_what_is_not_a_machine():
         DiagonalQfa(("a", "b"), {"a": good["a"], "b": np.ones(4)})
 
 
+def test_construction_refuses_empty_spectra():
+    # Spectra of unequal lengths never reach this check: numpy's own
+    # ValueError for a ragged array fires first, as in the test above.
+    with pytest.raises(ValueError, match=r"spectra have shape \(1, 0\)"):
+        DiagonalQfa(("a",), {"a": np.ones(0)})
+
+
+def test_state_counts_follow_the_counters():
+    machine = DiagonalQfa(("a",), {"a": np.ones(7)})
+    assert (machine.counters, machine.logical_state_count, machine.dim) == (7, 9, 15)
+
+
 @pytest.mark.parametrize("n", ORACLE_NS)
 def test_accept_all_words_matches_the_dense_machine(n):
     diagonal = accept_all_words(build_diagonal_qfa(n), 8)

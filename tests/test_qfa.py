@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qfakit.qfa import (
     LEFT_MARKER,
     RIGHT_MARKER,
     QfaSpec,
+    _spell,
     accept_all_words,
     accept_probability,
     initial_superposition,
@@ -63,6 +65,18 @@ def test_validate_flags_overlapping_outcomes():
     spec = build_qfa(3)
     spec = replace(spec, rejecting=spec.rejecting | {"acc"})
     assert any("both accepting and rejecting" in p for p in validate(spec))
+
+
+def test_validate_flags_bad_names():
+    spec = build_qfa(3)
+    # The last state, rej2, renamed to q0 (and dropped from the rejecting set).
+    twice = replace(spec, states=spec.states[:-1] + ("q0",), rejecting=spec.rejecting - {"rej2"})
+    assert validate(twice) == ["duplicate state names"]
+    stray = replace(spec, accepting=spec.accepting | {"elsewhere"})
+    assert validate(stray) == ["halting state 'elsewhere' not among the states"]
+    assert validate(replace(spec, input_alphabet=("a", "b", "a"))) == ["duplicate input symbols"]
+    marker = replace(spec, input_alphabet=("a", "b", RIGHT_MARKER))
+    assert validate(marker) == ["marker '$' reused as an input symbol"]
 
 
 def test_validate_names_non_unitary_symbol():
@@ -311,6 +325,18 @@ def test_midword_halting_specs_are_sound():
     assert run(HALTING["residual"], "ab").p_residual > 0.1
 
 
+def test_run_sampled_ends_on_the_residual_left_after_the_right_marker():
+    # On the empty word the left marker halts nothing, and the residual
+    # machine's '$' banks sin(0.4)**2 ~ 0.15 on acc and leaves the rest of
+    # q0 unhalted, so a draw above that outlives the word.
+    p_acc = math.sin(0.4) ** 2
+    assert abs(run(HALTING["residual"], "").p_accept - p_acc) <= 1e-12
+    for draw, kept, folded in ((0.5, "none", "reject"), (0.1, "accept", "accept")):
+        rng = SimpleNamespace(random=lambda: draw)
+        assert run_sampled(HALTING["residual"], "", rng) == kept
+        assert run_sampled(KERNEL_SPECS["residual_folded"], "", rng) == folded
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_run_many_matches_projector_oracle(name):
     spec = KERNEL_SPECS[name]
@@ -344,6 +370,13 @@ def test_accept_all_words_matches_projector_oracle(name):
         for letters, p in zip(product("ab", repeat=length), level):
             acc = _oracle_result(spec, "".join(letters))[0]
             assert abs(p - acc) <= 1e-12
+
+
+def test_spell_names_words_in_accept_all_words_order():
+    for alphabet in (("a", "b"), ("x", "y", "z")):
+        for length in range(6):
+            words = ["".join(w) for w in product(alphabet, repeat=length)]
+            assert [_spell(alphabet, length, i) for i in range(len(words))] == words
 
 
 def test_accept_all_words_zero_length_and_bad_length():
