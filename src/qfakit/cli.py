@@ -405,8 +405,7 @@ def cmd_export(args: argparse.Namespace) -> int:
             path.write_text(_dumps(payload) + "\n")
             print(f"wrote {path}")
     except OSError as exc:
-        print(f"error: cannot write under {out}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot write under {out}: {exc}") from exc
     return 0
 
 

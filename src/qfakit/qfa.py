@@ -24,8 +24,7 @@ the right marker one inverse FFT.
 The simulators read a machine only through its input_alphabet and three
 pieces: its rows after the left marker, "apply letters to rows" (a
 product followed by one observation), and "close rows" (the right
-marker, then the outcome totals, with the residual folded into
-rejection when a QfaSpec asks for it).  run() steps a single vector;
+marker, then the outcome totals).  run() steps a single vector;
 run_many() stacks many words into a (rows x dim) matrix and steps them
 column by column; accept_all_words() walks the prefix tree of every word
 up to a length by recursion, so each prefix is stepped once.  The
@@ -67,9 +66,6 @@ class QfaSpec:
     state set in the source-level description when the realized
     unitaries use extra basis states (e.g. parallel rejecting channels
     added to make a many-to-one end-of-input map unitary).
-    ``reject_residual`` makes the right marker (_close) fold any leftover
-    non-halting probability into rejection, for callers that want a
-    two-outcome language recognizer.
     """
 
     states: tuple[str, ...]
@@ -79,7 +75,6 @@ class QfaSpec:
     rejecting: frozenset[str]
     unitaries: Mapping[str, np.ndarray]
     logical_state_count: int | None = None
-    reject_residual: bool = False
 
     def __post_init__(self) -> None:
         frozen = {}
@@ -137,14 +132,10 @@ class QfaSpec:
         """Apply the right marker to residual rows and total their outcomes.
 
         Returns (p_acc, p_rej, p_res): acc and rej plus the weights the
-        marker measures away, and the squared norm left on each row.  With
-        reject_residual set, p_rej takes p_res in and p_res is 0.
+        marker measures away, and the squared norm left on each row.
         """
         residual, acc_inc, rej_inc = _observe(self, rows @ _matrix(self, RIGHT_MARKER))
-        p_res = (np.abs(residual) ** 2).sum(axis=-1)
-        if self.reject_residual:
-            return acc + acc_inc, rej + rej_inc + p_res, np.zeros(np.shape(p_res))
-        return acc + acc_inc, rej + rej_inc, p_res
+        return acc + acc_inc, rej + rej_inc, (np.abs(residual) ** 2).sum(axis=-1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,12 +149,13 @@ class QfaSpec:
                 for sym, matrix in self.unitaries.items()
             },
             "logical_state_count": self.logical_state_count,
-            "reject_residual": self.reject_residual,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> QfaSpec:
         """Rebuild a spec; raises ValueError listing what validate() finds."""
+        if data.get("reject_residual", False) is not False:  # older files carry false
+            raise ValueError("reject_residual must be false: the residual is always reported")
         unitaries = {}
         for sym, rows in data["unitaries"].items():
             mat = np.array(
@@ -178,7 +170,6 @@ class QfaSpec:
             rejecting=frozenset(data["reject"]),
             unitaries=unitaries,
             logical_state_count=data.get("logical_state_count"),
-            reject_residual=data.get("reject_residual", False),
         )
         problems = validate(spec)
         if problems:
@@ -216,6 +207,10 @@ class DiagonalQfa:
                 f"spectra for {sorted(self.spectra)} do not match the input"
                 f" alphabet {sorted(self.input_alphabet)}"
             )
+        shapes = {sym: np.shape(self.spectra[sym]) for sym in self.input_alphabet}
+        if len(set(shapes.values())) > 1:  # np.array would refuse a ragged stack, unnamed
+            named = ", ".join(f"{sym!r} has shape {shape}" for sym, shape in shapes.items())
+            raise ValueError(f"spectra differ in length: {named}")
         table = np.array([self.spectra[sym] for sym in self.input_alphabet], dtype=complex)
         if table.ndim != 2 or table.shape[1] == 0:
             raise ValueError(f"spectra have shape {table.shape}, expected one length n each")
@@ -518,7 +513,8 @@ def run_sampled(spec: QfaSpec, word: str, rng: random.Random) -> str:
     """Simulate one observed trajectory; returns 'accept', 'reject' or 'none'.
 
     Unlike run(), each step draws the observation outcome from rng and
-    collapses the state, so this is a single random trial.
+    collapses the state, so this is a single random trial.  A trajectory
+    that outlives the right marker ends on 'none'.
     """
     _check_words(spec, [word])
     psi = initial_superposition(spec)
@@ -535,4 +531,4 @@ def run_sampled(spec: QfaSpec, word: str, rng: random.Random) -> str:
             # rejection of the leftover trajectory.
             return "reject"
         psi = residual / norm
-    return "reject" if spec.reject_residual else "none"
+    return "none"

@@ -95,13 +95,13 @@ def test_construction_refuses_what_is_not_a_machine():
         DiagonalQfa(("a", "b"), {"a": good["a"], "b": broken})
     with pytest.raises(ValueError, match="do not match the input alphabet"):
         DiagonalQfa(("a",), dict(good))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"'a' has shape \(5,\), 'b' has shape \(4,\)"):
         DiagonalQfa(("a", "b"), {"a": good["a"], "b": np.ones(4)})
 
 
 def test_construction_refuses_empty_spectra():
-    # Spectra of unequal lengths never reach this check: numpy's own
-    # ValueError for a ragged array fires first, as in the test above.
+    # Spectra of unequal lengths are refused first, naming each letter's
+    # shape, as in the test above; equal empty ones reach this check.
     with pytest.raises(ValueError, match=r"spectra have shape \(1, 0\)"):
         DiagonalQfa(("a",), {"a": np.ones(0)})
 

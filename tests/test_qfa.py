@@ -191,9 +191,6 @@ def test_residual_fold_policy():
     spec_stuck = replace(spec, unitaries=stuck)
     result = run(spec_stuck, "")
     assert abs(result.p_residual - 1) < 1e-12 and result.p_reject == 0.0
-    folded = run(replace(spec_stuck, reject_residual=True), "")
-    assert folded.p_residual == 0.0
-    assert abs(folded.p_reject - 1) < 1e-12
 
 
 def test_sampled_mode_is_seed_deterministic():
@@ -226,10 +223,19 @@ def test_json_roundtrip_preserves_behaviour():
     for word in ["", "a", "ab", "aaaaabbbbb", "ba" * 7]:
         assert run(again, word) == run(spec, word)
     assert again.logical_state_count == spec.logical_state_count == 7
-    assert again.reject_residual is False
-    folding = QfaSpec.from_json_dict(replace(spec, reject_residual=True).to_json_dict())
-    assert folding.reject_residual is True
-    assert folding.logical_state_count == 7
+
+
+def test_json_reads_old_files_and_refuses_a_fold_into_rejection():
+    # Older exports wrote "reject_residual": false; true folded the residual
+    # into p_reject, so reading it as unfolded would change the results.
+    spec = build_qfa(3)
+    data = spec.to_json_dict()
+    assert "reject_residual" not in data
+    for old in ({}, {"reject_residual": False}):
+        again = QfaSpec.from_json_dict({**data, **old})
+        assert run(again, "ab") == run(spec, "ab")
+    with pytest.raises(ValueError, match="reject_residual must be false"):
+        QfaSpec.from_json_dict({**data, "reject_residual": True})
 
 
 def test_membership_alignment_small_exhaustive():
@@ -297,15 +303,7 @@ KERNEL_SPECS = {
     "n3": build_qfa(3),
     "n5": build_qfa(5),
     **HALTING,
-    "residual_folded": replace(HALTING["residual"], reject_residual=True),
 }
-
-
-def _oracle_result(spec, word):
-    acc, rej, residual = projector_oracle(spec, word)
-    if spec.reject_residual:
-        return acc, rej + residual, 0.0
-    return acc, rej, residual
 
 
 def _assert_close(result, expected, tol=1e-12):
@@ -331,10 +329,9 @@ def test_run_sampled_ends_on_the_residual_left_after_the_right_marker():
     # q0 unhalted, so a draw above that outlives the word.
     p_acc = math.sin(0.4) ** 2
     assert abs(run(HALTING["residual"], "").p_accept - p_acc) <= 1e-12
-    for draw, kept, folded in ((0.5, "none", "reject"), (0.1, "accept", "accept")):
+    for draw, outcome in ((0.5, "none"), (0.1, "accept")):
         rng = SimpleNamespace(random=lambda: draw)
-        assert run_sampled(HALTING["residual"], "", rng) == kept
-        assert run_sampled(KERNEL_SPECS["residual_folded"], "", rng) == folded
+        assert run_sampled(HALTING["residual"], "", rng) == outcome
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
@@ -347,7 +344,7 @@ def test_run_many_matches_projector_oracle(name):
     results = run_many(spec, words)
     assert len(results) == len(words)
     for word, result in zip(words, results):
-        _assert_close(result, _oracle_result(spec, word))
+        _assert_close(result, projector_oracle(spec, word))
 
 
 def test_run_many_empty_batch():
@@ -368,7 +365,7 @@ def test_accept_all_words_matches_projector_oracle(name):
     assert [len(level) for level in probs] == [2**k for k in range(max_len + 1)]
     for length, level in enumerate(probs):
         for letters, p in zip(product("ab", repeat=length), level):
-            acc = _oracle_result(spec, "".join(letters))[0]
+            acc = projector_oracle(spec, "".join(letters))[0]
             assert abs(p - acc) <= 1e-12
 
 
@@ -414,9 +411,6 @@ def test_conservation_is_checked_by_every_simulator():
         run_many(spec, ["", "bb", "ba", "a"])
     with pytest.raises(ValueError, match="not conserved on word 'a'"):
         accept_all_words(spec, 9)
-    # The check comes before the residual is folded into rejection.
-    with pytest.raises(ValueError, match="not conserved"):
-        run(replace(spec, reject_residual=True), "a")
 
 
 def test_cli_exits_two_on_unconserved_probability(capsys, monkeypatch):
