@@ -14,9 +14,9 @@ convolution (np.convolve, then the tail folded onto the head), not an
 FFT: at the orders used here it is as fast, and it multiplies rows of
 0/1 entries bit-exactly, so permutation powers hit the identity with ==.
 The powers of the quadratic-phase circulant are the one exception:
-quadratic_power_rows builds all n of them from the closed-form spectrum,
-one inverse FFT per block of rows, and classify_special judges such a
-block as one array.
+quadratic_power_spectra gives their eigenvalues in closed form,
+quadratic_power_rows builds all n of them from it, one inverse FFT per
+block of rows, and classify_special judges such a block as one array.
 """
 
 from __future__ import annotations
@@ -153,34 +153,41 @@ def iter_powers(a: ShiftMatrix, s_max: int) -> Iterator[tuple[int, ShiftMatrix]]
             acc = acc @ a
 
 
+def quadratic_power_spectra(n: int, s: Sequence[int]) -> np.ndarray:
+    """One row per exponent: the eigenvalues of quadratic_phase_circulant(n)**s.
+
+    Row i is np.fft.fft of the first row of A**s[i]; n must be odd.  Completing
+    the square in Gauss's evaluation of the quadratic Gauss sum gives those of A
+        lambda_m = eps_n * exp(-2*pi*i * (4^-1 mod n) * m^2 / n),
+    with eps_n = 1 for n = 1 (mod 4) and i for n = 3 (mod 4).  The
+    spectrum of A**s is eps_n**s times the root of unity at the integer
+    exponent -(s * 4^-1 mod n) * (m^2 mod n), a table lookup, so no
+    rounding error builds up with s.
+    """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"expected odd n > 0, got {n}")
+    s = np.asarray(s, dtype=np.int64)
+    m = np.arange(n, dtype=np.int64)
+    spectra = unit_phases(-(s * pow(4, -1, n) % n)[:, None] * (m * m % n), n)
+    if n % 4 == 3:
+        spectra *= _POWERS_OF_I[s % 4, None]
+    return spectra
+
+
 def quadratic_power_rows(n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (s, rows) blocks of the powers of quadratic_phase_circulant(n).
 
     rows[i] is the first row of A**(s + i); the blocks cover s = 1..n in
     order, each of at most about _BLOCK_ENTRIES entries (at least one
-    row), so memory stays O(n).  n must be odd.
-
-    The rows come from the spectrum, not from products.  Completing the
-    square in Gauss's evaluation of the quadratic Gauss sum gives, under
-    numpy's fft convention, the eigenvalues
-        lambda_m = eps_n * exp(-2*pi*i * (4^-1 mod n) * m^2 / n),
-    with eps_n = 1 for n = 1 (mod 4) and i for n = 3 (mod 4).  The
-    spectrum of A**s is eps_n**s times the root of unity at the integer
-    exponent -(s * 4^-1 mod n) * (m^2 mod n), a table lookup, so no
-    rounding error builds up with s; a block is one inverse FFT.
+    row), so memory stays O(n).  n must be odd.  Each block is the inverse
+    FFT of quadratic_power_spectra.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"expected odd n > 0, got {n}")
-    quarter = pow(4, -1, n)
-    m = np.arange(n, dtype=np.int64)
-    m_sq = m * m % n
     step = max(1, _BLOCK_ENTRIES // n)
     for first in range(1, n + 1, step):
-        s = np.arange(first, min(first + step, n + 1), dtype=np.int64)
-        spectrum = unit_phases(-(s * quarter % n)[:, None] * m_sq, n)
-        if n % 4 == 3:
-            spectrum *= _POWERS_OF_I[s % 4, None]
-        yield first, np.fft.ifft(spectrum, axis=1)
+        s = np.arange(first, min(first + step, n + 1))
+        yield first, np.fft.ifft(quadratic_power_spectra(n, s), axis=1)
 
 
 @dataclass(frozen=True)

@@ -63,15 +63,15 @@ SCAN_MAX_LEN = 20
 # 50000 about 1.5 s and 77 MB, and both grow linearly.
 SCAN_MAX_SAMPLES = 50000
 # scan simulates 2**(L + 1) - 1 exhaustive words and 2 * samples sampled
-# ones (each sample and its shuffled copy) and is charged n per word: a
-# letter costs O(n) in the DFT basis, and the inverse FFT that closes each
-# word dominates (an exhaustive word took 0.6 us at n = 3 and 40 us at
-# n = 1001 on a 2-vCPU VM).  The cap admits every run that the former dense
-# (2n + 1)**2 charges admitted (the largest, n = 141, L = 9 with 50000
-# samples, is charged 14.2M), and at n = 1001 up to L = 13 (0.9 s, 65 MB
-# peak RSS) or 8379 samples (2.2 s, 39 MB).  Its slowest new run, n = 101,
-# L = 15 with 50000 samples (3.9 s, fresh processes), is faster than n = 3,
-# L = 20 with 50000 samples (4.3 s).
+# ones (each sample and its shuffled copy) and is charged n per word: in the
+# DFT basis an exhaustive word costs one letter, one copy of its parent's
+# row and the two sums that close it, each O(n) (0.5 us at n = 3, 2.6 us at
+# n = 101 and 23 us at n = 1001 on a 2-vCPU VM).  The cap admits every run
+# that the former dense (2n + 1)**2 charges admitted (the largest, n = 141,
+# L = 9 with 50000 samples, is charged 14.2M), and at n = 1001 up to L = 13
+# (0.7 s, 65 MB peak RSS) or 8379 samples (2.2 s, 41 MB).  Its slowest new
+# run, n = 101, L = 15 with 50000 samples (3.4 s, fresh processes), is
+# faster than n = 3, L = 20 with 50000 samples (4.4 s).
 SCAN_MAX_WORK = 2**24
 # The largest n lemmas admits.  lemma_report streams the powers in blocks
 # of O(n) memory and costs O(n**2 log n): on a 2-vCPU VM `lemmas --n 3001`

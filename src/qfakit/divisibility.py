@@ -7,8 +7,8 @@ uses n + 2 states, and the classical product-counter DFA with n * n
 states, which is already minimal.  The gap between those two sizes is
 the point of the construction.  build_qfa gives the quantum recognizer
 as a dense QfaSpec, the general machine and the oracle; build_diagonal_qfa
-gives the same recognizer as a DiagonalQfa, whose letters are stepped in
-the DFT basis at O(n) per letter.
+gives the same recognizer as a DiagonalQfa, built from the letters'
+closed-form spectra and stepped in the DFT basis at O(n) per letter.
 
 DFAs are stored as int successor arrays.  minimize_dfa is the general
 Moore minimizer; meets_permutation_criterion certifies the product
@@ -24,11 +24,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circulant import ShiftMatrix, cyclic_shift_circulant, quadratic_phase_circulant
+from .circulant import cyclic_shift_circulant, quadratic_phase_circulant, quadratic_power_spectra
+from .modular import unit_phases
 from .qfa import LEFT_MARKER, RIGHT_MARKER, DiagonalQfa, QfaSpec
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .circulant import ShiftMatrix
 
 ALPHABET = ("a", "b")
 # build_qfa stores four dense (2n+1) x (2n+1) complex unitaries, so its
@@ -157,10 +160,11 @@ def build_qfa(n: int) -> QfaSpec:
 def build_diagonal_qfa(n: int) -> DiagonalQfa:
     """build_qfa(n) as a DiagonalQfa: the same outcome probabilities at O(n) per letter.
 
-    Each letter's spectrum is np.fft.fft of its own circulant's first
-    row; counter 0 accepts at the right marker and every other counter
-    rejects; the state counts are build_qfa's, n + 2 and 2n + 1.  Raises
-    ValueError above DENSE_MAX_N, as build_qfa does.
+    The spectra are closed forms, not FFTs of the letters' rows: 'a' from
+    quadratic_power_spectra, 'b' (the shift) exp(-2*pi*i * m / n).  Counter
+    0 accepts at the right marker and every other counter rejects; the
+    state counts are build_qfa's, n + 2 and 2n + 1.  Raises ValueError
+    above DENSE_MAX_N, as build_qfa does.
     """
     _require_odd(n)
     if n > DENSE_MAX_N:
@@ -168,10 +172,9 @@ def build_diagonal_qfa(n: int) -> DiagonalQfa:
             f"n = {n} exceeds DENSE_MAX_N = {DENSE_MAX_N}, the largest n the"
             " quantum recognizer is built for"
         )
-    letters = {"a": quadratic_phase_circulant(n), "b": cyclic_shift_circulant(n)}
     return DiagonalQfa(
         input_alphabet=ALPHABET,
-        spectra={sym: np.fft.fft(c.first_row) for sym, c in letters.items()},
+        spectra={"a": quadratic_power_spectra(n, [1])[0], "b": unit_phases(-np.arange(n), n)},
     )
 
 

@@ -19,7 +19,7 @@ letters are circulants on n counter states and the identity on the
 halting block, and whose right marker accepts counter 0 and rejects
 the rest; it keeps each letter's eigenvalues and steps the counter
 amplitudes in the DFT basis, so a letter is one elementwise product and
-the right marker one inverse FFT.
+the right marker two sums per row, with no inverse FFT.
 
 The simulators read a machine only through its input_alphabet and three
 pieces: its rows after the left marker, "apply letters to rows" (a
@@ -189,13 +189,14 @@ class DiagonalQfa:
     channel.  Realized unitarily that is n counters, one accepting state
     and n rejecting ones: ``dim`` = 2n + 1.
 
-    ``spectra`` maps each letter to its n eigenvalues, np.fft.fft of the
-    circulant's first row, for which psi @ C transforms to fft(psi) times
-    the eigenvalues.  They are stored as read-only copies behind a
-    read-only mapping and must have unit modulus within UNITARY_TOL, or
-    construction raises ValueError.  ``logical_state_count`` is the size
-    of the source-level description, n counters plus one accepting and
-    one rejecting state: n + 2.
+    ``spectra`` maps each letter to its n eigenvalues, the values of
+    np.fft.fft of the circulant's first row, for which psi @ C transforms
+    to fft(psi) times the eigenvalues.  They are stored as read-only
+    copies behind a read-only mapping and must have unit modulus within
+    UNITARY_TOL, or construction raises ValueError.  The right marker
+    reads the counters without an inverse FFT, by two sums per row.
+    ``logical_state_count`` is the size of the source-level description,
+    n counters plus one accepting and one rejecting state: n + 2.
     """
 
     input_alphabet: tuple[str, ...]
@@ -243,13 +244,12 @@ class DiagonalQfa:
         return rows * self._table[letters], 0.0, 0.0
 
     def _close(self, rows: np.ndarray, acc, rej) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Every counter halts at the right marker, so nothing is left over.
-        weights = np.abs(np.fft.ifft(rows, axis=-1)) ** 2
-        return (
-            acc + weights[..., 0],
-            rej + weights[..., 1:].sum(axis=-1),
-            np.zeros(rows.shape[:-1]),
-        )
+        # Every counter halts, so nothing is left over.  Counter 0 is the mean
+        # of a transformed row and, by Parseval, all counters hold the mean of
+        # |row|^2; the clamp keeps a member's p_reject from rounding below 0.
+        accept = np.abs(rows.sum(axis=-1) / self.counters) ** 2
+        reject = np.maximum((np.abs(rows) ** 2).sum(axis=-1) / self.counters - accept, 0.0)
+        return acc + accept, rej + reject, np.zeros(rows.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -469,7 +469,7 @@ def accept_all_words(spec: Machine, max_len: int) -> list[np.ndarray]:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     alphabet = spec.input_alphabet
     fan_out = len(alphabet)
-    parents_per_block = max(1, BLOCK_ROWS // fan_out)
+    parents_per_block = max(1, BLOCK_ROWS // max(fan_out, 1))  # an empty alphabet spells only ""
     probs = [np.empty(fan_out**length) for length in range(max_len + 1)]
     # (length, lex index, accept + reject + residual) of unconserved words
     bad: list[tuple[int, int, float]] = []

@@ -15,6 +15,7 @@ from qfakit.circulant import (
     iter_powers,
     quadratic_phase_circulant,
     quadratic_power_rows,
+    quadratic_power_spectra,
 )
 
 
@@ -142,6 +143,25 @@ def test_quadratic_power_rows_match_iter_powers():
         assert blocks[0][0] == 1
         rows = np.concatenate([rows for _, rows in blocks])
         np.testing.assert_allclose(rows, oracle_power_rows(n), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 15, 21, 45, 101])
+def test_quadratic_power_spectra_are_the_fft_of_the_powers(n):
+    exponents = np.arange(1, n + 1)
+    oracle = np.fft.fft(oracle_power_rows(n), axis=1)
+    np.testing.assert_allclose(quadratic_power_spectra(n, exponents), oracle, rtol=0, atol=1e-12)
+    # Any order and any subset of exponents; s = 0 is the identity.
+    picked = [n, 1, 2, n]
+    np.testing.assert_allclose(
+        quadratic_power_spectra(n, picked), oracle[np.array(picked) - 1], rtol=0, atol=1e-12
+    )
+    np.testing.assert_array_equal(quadratic_power_spectra(n, [0]), np.ones((1, n)))
+
+
+def test_quadratic_power_spectra_refuse_even_n():
+    for n in (0, 2, 10):
+        with pytest.raises(ValueError, match="odd"):
+            quadratic_power_spectra(n, [1])
 
 
 def test_quadratic_power_rows_stream_bounded_blocks(monkeypatch):

@@ -43,10 +43,26 @@ def test_structure_matches_the_dense_machine(n):
     assert machine.counters == n
     assert machine.dim == dense.dim == 2 * n + 1
     assert machine.logical_state_count == dense.logical_state_count == n + 2
-    # Each spectrum is the fft of the letter's own first row, bit for bit.
+    # Each spectrum is the fft of the letter's own first row, within 1e-12.
     rows = {"a": quadratic_phase_circulant(n), "b": cyclic_shift_circulant(n)}
     for sym, circulant in rows.items():
-        np.testing.assert_array_equal(machine.spectra[sym], np.fft.fft(circulant.first_row))
+        np.testing.assert_allclose(
+            machine.spectra[sym], np.fft.fft(circulant.first_row), rtol=0, atol=1e-12
+        )
+
+
+def test_closed_form_spectra_match_the_fft_of_the_rows_up_to_the_cap():
+    for n in range(3, DENSE_MAX_N + 1, 2):
+        machine = build_diagonal_qfa(n)
+        rows = {"a": quadratic_phase_circulant(n), "b": cyclic_shift_circulant(n)}
+        for sym, circulant in rows.items():
+            np.testing.assert_allclose(
+                machine.spectra[sym],
+                np.fft.fft(circulant.first_row),
+                rtol=0,
+                atol=1e-12,
+                err_msg=f"{sym!r} at n = {n}",
+            )
 
 
 def test_quadratic_spectrum_is_the_gauss_closed_form():
@@ -168,6 +184,57 @@ def test_run_scan_and_compare_build_no_dense_machine(capsys, monkeypatch):
     assert "counterexamples: 0" in capsys.readouterr().out
     report = cli.compare_report(45)
     assert (report["qfa_logical_states"], report["qfa_internal_states"]) == (47, 91)
+
+
+@pytest.mark.parametrize("n", ["21", "1001"])
+def test_run_scan_and_compare_take_no_fft(capsys, monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an FFT was taken")
+
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    assert cli.main(["run", "--n", n, "--word", "a" * int(n) + "b", "--json"]) == 0
+    assert '"p_accept": "0.000000000000"' in capsys.readouterr().out
+    assert cli.main(["run", "--n", n, "--word", "ab" * int(n), "--json"]) == 0
+    assert '"p_accept": "1.000000000000"' in capsys.readouterr().out
+    assert cli.main(["scan", "--n", n, "--max-len", "6", "--samples", "50", "--seed", "2"]) == 0
+    assert "counterexamples: 0" in capsys.readouterr().out
+    assert cli.main(["compare", "--n", n, "--json"]) == 0
+    assert f'"qfa_logical_states": {int(n) + 2}' in capsys.readouterr().out
+
+
+def _close_by_inverse_fft(rows, acc, rej):
+    # The right marker as it reads on the counters themselves.
+    weights = np.abs(np.fft.ifft(rows, axis=-1)) ** 2
+    return acc + weights[..., 0], rej + weights[..., 1:].sum(axis=-1)
+
+
+@pytest.mark.parametrize("n", [3, 21, 101, 1001])
+def test_close_matches_the_inverse_fft(n):
+    rng = np.random.default_rng(n)
+    machine = DiagonalQfa(("a",), {"a": np.ones(n)})
+    rows = np.exp(2j * np.pi * rng.uniform(size=(64, n)))
+    acc, rej = rng.uniform(0, 0.5, size=(2, 64))
+    p_acc, p_rej, p_res = machine._close(rows, acc, rej)
+    want_acc, want_rej = _close_by_inverse_fft(rows, acc, rej)
+    assert np.abs(p_acc - want_acc).max() <= 1e-15
+    assert np.abs(p_rej - want_rej).max() <= 1e-15
+    assert not p_res.any()
+    # One row, as run() closes it.
+    one_acc, one_rej, _ = machine._close(rows[0], acc[0], rej[0])
+    assert abs(one_acc - want_acc[0]) <= 1e-15
+    assert abs(one_rej - want_rej[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 21, 101, 1001])
+def test_members_never_read_a_negative_rejection(n):
+    machine = build_diagonal_qfa(n)
+    members = ["", "a" * n, "b" * n, "ab" * n, "ba" * n, "a" * (2 * n) + "b" * n]
+    results = run_many(machine, members) + [run(machine, word) for word in members]
+    for result in results:
+        assert abs(result.p_accept - 1.0) <= 1e-12
+        assert 0.0 <= result.p_reject <= 1e-12
+        assert result.p_residual == 0.0
 
 
 def _swapped(machine, monkeypatch):

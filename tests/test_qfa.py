@@ -383,6 +383,26 @@ def test_accept_all_words_zero_length_and_bad_length():
         accept_all_words(build_qfa(3), -1)
 
 
+def test_accept_all_words_on_an_empty_alphabet():
+    # The right marker turns q0 by 0.6 rad: p("") = sin(0.6)**2 is banked
+    # on acc and the rest left on q0.  No letter, so only "" has a result.
+    c, s = math.cos(0.6), math.sin(0.6)
+    marker = np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]], dtype=complex)
+    spec = QfaSpec(
+        states=("q0", "acc", "rej"),
+        input_alphabet=(),
+        start="q0",
+        accepting=frozenset({"acc"}),
+        rejecting=frozenset({"rej"}),
+        unitaries={LEFT_MARKER: np.eye(3), RIGHT_MARKER: marker},
+    )
+    assert validate(spec) == []
+    assert run(spec, "").p_accept == pytest.approx(s * s, abs=1e-15)
+    probs = accept_all_words(spec, 3)
+    assert [p.shape for p in probs] == [(1,), (0,), (0,), (0,)]
+    assert probs[0][0] == run(spec, "").p_accept
+
+
 _words = st.lists(st.text(alphabet="ab", max_size=30), max_size=40)
 
 
