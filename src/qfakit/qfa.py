@@ -6,8 +6,8 @@ halting decomposition: amplitude on accepting states is banked as
 acceptance probability, amplitude on rejecting states as rejection
 probability, and the remaining (non-halting) component continues
 unnormalized.  Tracking the unnormalized residual makes the run exact
-and deterministic; a sampled mode that collapses like a measurement
-would is provided separately for demonstrations.
+and deterministic; run_sampled() draws one observed outcome from those
+exact totals, for demonstrations.
 
 Amplitude vectors are row vectors: unitaries[symbol][i][j] is the
 amplitude for moving from state i to state j, and a step maps psi to
@@ -22,15 +22,17 @@ amplitudes in the DFT basis, so a letter is one elementwise product and
 the right marker two sums per row, with no inverse FFT.
 
 The simulators read a machine only through its input_alphabet and three
-pieces: its rows after the left marker, "apply letters to rows" (a
-product followed by one observation), and "close rows" (the right
-marker, then the outcome totals).  run() steps a single vector;
-run_many() stacks many words into a (rows x dim) matrix and steps them
-column by column; accept_all_words() walks the prefix tree of every word
-up to a length by recursion, so each prefix is stepped once.  The
-batched simulators step at most BLOCK_ROWS rows at a time, which keeps
-their memory flat however many words they are given.  Each simulator
-checks that accept + reject + residual stays 1 within CONSERVATION_TOL.
+steps: _start() gives its row after the left marker, _apply(rows,
+letters) feeds each row a letter, and _close(rows) applies the right
+marker and totals (p_acc, p_rej, p_res).  Rows are opaque to them; a
+QfaSpec, the only machine that halts mid-word, banks its accept and
+reject weights in two trailing entries of each row.  run() steps one
+row; run_many() stacks many words into a matrix and steps them column by
+column; accept_all_words() walks the prefix tree of every word up to a
+length by recursion, so each prefix is stepped once.  The batched
+simulators step at most BLOCK_ROWS rows at a time, which keeps their
+memory flat however many words they are given.  Each simulator checks
+that accept + reject + residual stays 1 within CONSERVATION_TOL.
 """
 
 from __future__ import annotations
@@ -97,45 +99,50 @@ class QfaSpec:
         return {name: i for i, name in enumerate(self.states)}
 
     @cached_property
-    def _outcome_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # 0/1 floats for the accepting, rejecting and non-halting states;
-        # products with them are BLAS dot products rather than masked sums.
+    def _outcome_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        # 0/1 floats: the accepting and rejecting states as two columns, and
+        # the non-halting states; products with them are BLAS products
+        # rather than masked sums.
         accept = np.array([s in self.accepting for s in self.states], dtype=float)
         reject = np.array([s in self.rejecting for s in self.states], dtype=float)
-        return accept, reject, (accept + reject == 0).astype(float)
+        return np.stack((accept, reject), axis=-1), (accept + reject == 0).astype(float)
 
     @cached_property
     def _letter_matrices(self) -> tuple[np.ndarray, ...]:
         return tuple(_matrix(self, sym) for sym in self.input_alphabet)
 
     # With input_alphabet, all that the simulators read; DiagonalQfa has the same.
+    # A row is the residual amplitudes, then the accept and reject weights
+    # banked so far as the real parts of two more entries.
 
-    def _start(self) -> tuple[np.ndarray, float, float]:
-        """The row after the left marker, and the weights it measures away."""
-        return step(self, initial_superposition(self), LEFT_MARKER)
+    def _start(self) -> np.ndarray:
+        """The row after the left marker."""
+        return _observe(self, initial_superposition(self) @ _matrix(self, LEFT_MARKER), np.zeros(2))
 
-    def _apply(self, rows: np.ndarray, letters) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row followed by its letter, observed: (residual, accept, reject).
+    def _apply(self, rows: np.ndarray, letters) -> np.ndarray:
+        """Each row followed by its letter, observed.
 
-        letters indexes input_alphabet, one index for every row or one per
-        row; a row is a vector or the last axis of a matrix.
+        letters indexes input_alphabet: an int for every row, or an array
+        of one per row; a row is a vector or the last axis of a matrix.
         """
-        if np.ndim(letters) == 0:
-            return _observe(self, rows @ self._letter_matrices[letters])
-        phi = np.empty_like(rows)
+        if isinstance(letters, int):
+            return _observe(self, rows[..., :-2] @ self._letter_matrices[letters], rows[..., -2:])
+        phi = np.empty((len(rows), self.dim), dtype=complex)
         for k, matrix in enumerate(self._letter_matrices):
             hit = letters == k
-            phi[hit] = rows[hit] @ matrix
-        return _observe(self, phi)
+            phi[hit] = rows[hit, :-2] @ matrix
+        return _observe(self, phi, rows[:, -2:])
 
-    def _close(self, rows: np.ndarray, acc, rej) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Apply the right marker to residual rows and total their outcomes.
+    def _close(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Apply the right marker to rows and total their outcomes.
 
-        Returns (p_acc, p_rej, p_res): acc and rej plus the weights the
-        marker measures away, and the squared norm left on each row.
+        Returns (p_acc, p_rej, p_res): the weights banked on each row,
+        with those the marker measures away, and the squared norm left.
         """
-        residual, acc_inc, rej_inc = _observe(self, rows @ _matrix(self, RIGHT_MARKER))
-        return acc + acc_inc, rej + rej_inc, (np.abs(residual) ** 2).sum(axis=-1)
+        halting, nonhalting = self._outcome_weights
+        weights = np.abs(rows[..., :-2] @ _matrix(self, RIGHT_MARKER)) ** 2
+        banked = rows[..., -2:].real + weights @ halting
+        return banked[..., 0], banked[..., 1], weights @ nonhalting
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,6 +210,9 @@ class DiagonalQfa:
     spectra: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        problems = _alphabet_problems(self.input_alphabet)
+        if problems:
+            raise ValueError("; ".join(problems))
         if set(self.spectra) != set(self.input_alphabet):
             raise ValueError(
                 f"spectra for {sorted(self.spectra)} do not match the input"
@@ -235,21 +245,21 @@ class DiagonalQfa:
     def logical_state_count(self) -> int:
         return self.counters + 2
 
-    def _start(self) -> tuple[np.ndarray, float, float]:
+    def _start(self) -> np.ndarray:
         # Counter 0 transforms to all ones.
-        return np.ones(self.counters, dtype=complex), 0.0, 0.0
+        return np.ones(self.counters, dtype=complex)
 
-    def _apply(self, rows: np.ndarray, letters) -> tuple[np.ndarray, float, float]:
+    def _apply(self, rows: np.ndarray, letters) -> np.ndarray:
         # One gathered elementwise product; nothing halts mid-word.
-        return rows * self._table[letters], 0.0, 0.0
+        return rows * self._table[letters]
 
-    def _close(self, rows: np.ndarray, acc, rej) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _close(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Every counter halts, so nothing is left over.  Counter 0 is the mean
         # of a transformed row and, by Parseval, all counters hold the mean of
         # |row|^2; the clamp keeps a member's p_reject from rounding below 0.
         accept = np.abs(rows.sum(axis=-1) / self.counters) ** 2
         reject = np.maximum((np.abs(rows) ** 2).sum(axis=-1) / self.counters - accept, 0.0)
-        return acc + accept, rej + reject, np.zeros(rows.shape[:-1])
+        return accept, reject, np.zeros(rows.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -274,11 +284,10 @@ def validate(spec: QfaSpec) -> list[str]:
     overlap = spec.accepting & spec.rejecting
     if overlap:
         problems.append(f"states marked both accepting and rejecting: {sorted(overlap)}")
-    if len(set(spec.input_alphabet)) != len(spec.input_alphabet):
-        problems.append("duplicate input symbols")
-    for sym in (LEFT_MARKER, RIGHT_MARKER):
-        if sym in spec.input_alphabet:
-            problems.append(f"marker {sym!r} reused as an input symbol")
+    problems += _alphabet_problems(spec.input_alphabet)
+    count = spec.logical_state_count
+    if count is not None and not (type(count) is int and 1 <= count <= spec.dim):
+        problems.append(f"logical_state_count {count!r} is not an int in 1..{spec.dim}")
 
     expected = set(spec.working_alphabet)
     have = set(spec.unitaries)
@@ -295,8 +304,18 @@ def validate(spec: QfaSpec) -> list[str]:
             problems.append(f"matrix for {sym!r} has shape {matrix.shape}, expected {(d, d)}")
             continue
         err = np.abs(matrix @ matrix.conj().T - eye).max()
-        if err > UNITARY_TOL:
+        if not err <= UNITARY_TOL:  # NaN counts as not unitary
             problems.append(f"matrix for {sym!r} is not unitary (deviation {err:.3e})")
+    return problems
+
+
+def _alphabet_problems(alphabet: tuple[str, ...]) -> list[str]:
+    problems = []
+    if len(set(alphabet)) != len(alphabet):
+        problems.append("duplicate input symbols")
+    for sym in (LEFT_MARKER, RIGHT_MARKER):
+        if sym in alphabet:
+            problems.append(f"marker {sym!r} reused as an input symbol")
     return problems
 
 
@@ -307,16 +326,17 @@ def _matrix(spec: QfaSpec, symbol: str) -> np.ndarray:
     return matrix
 
 
-def _observe(spec: QfaSpec, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _observe(spec: QfaSpec, phi: np.ndarray, banked: np.ndarray) -> np.ndarray:
     """Observe the halting decomposition along the last axis of phi.
 
-    Returns (residual, accept, reject): phi with its halting components
-    zeroed, and the squared norms on the accepting and rejecting states
-    taken away on this step, one per row of phi.
+    Returns rows of phi with its halting components zeroed, followed by
+    the (accept, reject) weights in banked plus those phi halts.
     """
-    accept, reject, nonhalting = spec._outcome_weights
-    weights = np.abs(phi) ** 2
-    return phi * nonhalting, weights @ accept, weights @ reject
+    halting, nonhalting = spec._outcome_weights
+    out = np.empty(phi.shape[:-1] + (spec.dim + 2,), dtype=complex)
+    np.multiply(phi, nonhalting, out=out[..., :-2])
+    np.add(banked, np.abs(phi) ** 2 @ halting, out=out[..., -2:])
+    return out
 
 
 def step(
@@ -331,8 +351,8 @@ def step(
     matrix = _matrix(spec, symbol)
     if psi.shape != (spec.dim,):
         raise ValueError(f"amplitude vector has shape {psi.shape}, expected ({spec.dim},)")
-    residual, p_acc, p_rej = _observe(spec, psi @ matrix)
-    return residual, float(p_acc), float(p_rej)
+    row = _observe(spec, psi @ matrix, np.zeros(2))
+    return row[:-2], float(row[-2].real), float(row[-1].real)
 
 
 def initial_superposition(spec: QfaSpec) -> np.ndarray:
@@ -384,12 +404,10 @@ def run(spec: Machine, word: str) -> RunResult:
     """
     _check_words(spec, [word])
     index = {sym: k for k, sym in enumerate(spec.input_alphabet)}
-    psi, p_accept, p_reject = spec._start()
+    psi = spec._start()
     for symbol in word:
-        psi, acc_inc, rej_inc = spec._apply(psi, index[symbol])
-        p_accept += acc_inc
-        p_reject += rej_inc
-    p_accept, p_reject, p_residual = map(float, spec._close(psi, p_accept, p_reject))
+        psi = spec._apply(psi, index[symbol])
+    p_accept, p_reject, p_residual = map(float, spec._close(psi))
     if _first_unconserved(p_accept, p_reject, p_residual) is not None:
         raise _unconserved(word, p_accept + p_reject + p_residual)
     return RunResult(p_accept, p_reject, p_residual)
@@ -410,22 +428,15 @@ def _run_block(spec: Machine, words: list[str]) -> np.ndarray:
     coded = "".join(words).translate(index).encode("utf-32-le")
     letters = np.zeros((len(words), len(words[0])), dtype=np.intp)
     letters[np.arange(len(words[0])) < lengths[:, None]] = np.frombuffer(coded, dtype=np.uint32)
-    first, acc0, rej0 = spec._start()
-    psi = np.tile(first, (len(words), 1))
-    acc = np.full(len(words), acc0)
-    rej = np.full(len(words), rej0)
+    psi = np.tile(spec._start(), (len(words), 1))
     live = len(words)
     for t in range(len(words[0]) + 1):
         active = int(np.count_nonzero(lengths > t))
         if active < live:
             done = slice(active, live)
-            out[done, 0], out[done, 1], out[done, 2] = spec._close(
-                psi[done], acc[done], rej[done]
-            )
+            out[done, 0], out[done, 1], out[done, 2] = spec._close(psi[done])
         if active:
-            psi, acc_inc, rej_inc = spec._apply(psi[:active], letters[:active, t])
-            acc = acc[:active] + acc_inc
-            rej = rej[:active] + rej_inc
+            psi = spec._apply(psi[:active], letters[:active, t])
         live = active
     return out
 
@@ -474,9 +485,9 @@ def accept_all_words(spec: Machine, max_len: int) -> list[np.ndarray]:
     # (length, lex index, accept + reject + residual) of unconserved words
     bad: list[tuple[int, int, float]] = []
 
-    def walk(length: int, lo: int, psi: np.ndarray, acc: np.ndarray, rej: np.ndarray) -> None:
-        # psi holds the residuals of the words lo, lo + 1, ... of this length.
-        p_acc, p_rej, p_res = spec._close(psi, acc, rej)
+    def walk(length: int, lo: int, psi: np.ndarray) -> None:
+        # psi holds the rows of the words lo, lo + 1, ... of this length.
+        p_acc, p_rej, p_res = spec._close(psi)
         probs[length][lo : lo + len(psi)] = p_acc
         i = _first_unconserved(p_acc, p_rej, p_res)
         if i is not None:
@@ -484,21 +495,12 @@ def accept_all_words(spec: Machine, max_len: int) -> list[np.ndarray]:
         if length == max_len:
             return
         for c in range(0, len(psi), parents_per_block):
-            part = slice(c, c + parents_per_block)
             # Row i * fan_out + s is parent row i followed by letter s.
-            rows = np.repeat(psi[part], fan_out, axis=0)
+            rows = np.repeat(psi[c : c + parents_per_block], fan_out, axis=0)
             letters = np.arange(len(rows)) % fan_out
-            residual, acc_inc, rej_inc = spec._apply(rows, letters)
-            walk(
-                length + 1,
-                (lo + c) * fan_out,
-                residual,
-                np.repeat(acc[part], fan_out) + acc_inc,
-                np.repeat(rej[part], fan_out) + rej_inc,
-            )
+            walk(length + 1, (lo + c) * fan_out, spec._apply(rows, letters))
 
-    first, acc0, rej0 = spec._start()
-    walk(0, 0, first[None, :], np.array([acc0]), np.array([rej0]))
+    walk(0, 0, spec._start()[None, :])
     if bad:
         length, index, total = min(bad)
         raise _unconserved(_spell(alphabet, length, index), total)
@@ -509,26 +511,18 @@ def accept_probability(spec: Machine, word: str) -> float:
     return run(spec, word).p_accept
 
 
-def run_sampled(spec: QfaSpec, word: str, rng: random.Random) -> str:
-    """Simulate one observed trajectory; returns 'accept', 'reject' or 'none'.
+def run_sampled(spec: Machine, word: str, rng: random.Random) -> str:
+    """Observe one trajectory; returns 'accept', 'reject' or 'none'.
 
-    Unlike run(), each step draws the observation outcome from rng and
-    collapses the state, so this is a single random trial.  A trajectory
+    Collapsing after every symbol halts on accept at step t with exactly
+    the weight that run() banks at step t, so one trial is one draw from
+    run()'s totals: a single rng.random() call per word.  A trajectory
     that outlives the right marker ends on 'none'.
     """
-    _check_words(spec, [word])
-    psi = initial_superposition(spec)
-    for symbol in (LEFT_MARKER, *word, RIGHT_MARKER):
-        residual, p_acc, p_rej = step(spec, psi, symbol)
-        draw = rng.random()
-        if draw < p_acc:
-            return "accept"
-        if draw < p_acc + p_rej:
-            return "reject"
-        norm = np.linalg.norm(residual)
-        if norm == 0.0:
-            # Observation says "continue" but nothing continues; treat as
-            # rejection of the leftover trajectory.
-            return "reject"
-        psi = residual / norm
+    result = run(spec, word)
+    draw = rng.random()
+    if draw < result.p_accept:
+        return "accept"
+    if draw < result.p_accept + result.p_reject:
+        return "reject"
     return "none"

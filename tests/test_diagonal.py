@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -22,7 +23,7 @@ from qfakit.divisibility import (
     build_qfa,
     exact_accept_probability,
 )
-from qfakit.qfa import DiagonalQfa, accept_all_words, run, run_many
+from qfakit.qfa import DiagonalQfa, accept_all_words, run, run_many, run_sampled
 
 ORACLE_NS = (3, 5, 9, 15, 21, 25, 27)
 
@@ -115,6 +116,16 @@ def test_construction_refuses_what_is_not_a_machine():
         DiagonalQfa(("a", "b"), {"a": good["a"], "b": np.ones(4)})
 
 
+def test_construction_refuses_duplicate_and_marker_letters():
+    # validate's wording for a QfaSpec with the same alphabet.
+    ones = np.ones(5)
+    with pytest.raises(ValueError, match="^duplicate input symbols$"):
+        DiagonalQfa(("a", "a"), {"a": ones})
+    for marker in ("^", "$"):
+        with pytest.raises(ValueError, match=rf"^marker '\{marker}' reused as an input symbol$"):
+            DiagonalQfa(("a", marker), {"a": ones, marker: ones})
+
+
 def test_construction_refuses_empty_spectra():
     # Spectra of unequal lengths are refused first, naming each letter's
     # shape, as in the test above; equal empty ones reach this check.
@@ -203,10 +214,26 @@ def test_run_scan_and_compare_take_no_fft(capsys, monkeypatch, n):
     assert f'"qfa_logical_states": {int(n) + 2}' in capsys.readouterr().out
 
 
-def _close_by_inverse_fft(rows, acc, rej):
+@pytest.mark.parametrize("n", [3, 21])
+def test_run_sampled_draws_the_same_outcomes_on_both_machines(n):
+    machine, dense = build_diagonal_qfa(n), build_qfa(n)
+    seeds = range(200)
+    for word in ["", "a", "ab", "aaabbb", "a" * n + "b", "aab" * 7]:
+        draws = [run_sampled(machine, word, random.Random(seed)) for seed in seeds]
+        assert draws == [run_sampled(dense, word, random.Random(seed)) for seed in seeds]
+        # Nothing outlives the right marker, and the accept frequency is
+        # within four standard deviations of the exact probability, so a
+        # member always accepts and a zero-probability word never does.
+        assert "none" not in draws
+        exact = float(exact_accept_probability(n, word.count("a"), word.count("b")))
+        spread = 4 * math.sqrt(exact * (1 - exact) / len(seeds))
+        assert abs(draws.count("accept") / len(seeds) - exact) <= spread + 1e-12
+
+
+def _close_by_inverse_fft(rows):
     # The right marker as it reads on the counters themselves.
     weights = np.abs(np.fft.ifft(rows, axis=-1)) ** 2
-    return acc + weights[..., 0], rej + weights[..., 1:].sum(axis=-1)
+    return weights[..., 0], weights[..., 1:].sum(axis=-1)
 
 
 @pytest.mark.parametrize("n", [3, 21, 101, 1001])
@@ -214,14 +241,13 @@ def test_close_matches_the_inverse_fft(n):
     rng = np.random.default_rng(n)
     machine = DiagonalQfa(("a",), {"a": np.ones(n)})
     rows = np.exp(2j * np.pi * rng.uniform(size=(64, n)))
-    acc, rej = rng.uniform(0, 0.5, size=(2, 64))
-    p_acc, p_rej, p_res = machine._close(rows, acc, rej)
-    want_acc, want_rej = _close_by_inverse_fft(rows, acc, rej)
+    p_acc, p_rej, p_res = machine._close(rows)
+    want_acc, want_rej = _close_by_inverse_fft(rows)
     assert np.abs(p_acc - want_acc).max() <= 1e-15
     assert np.abs(p_rej - want_rej).max() <= 1e-15
     assert not p_res.any()
     # One row, as run() closes it.
-    one_acc, one_rej, _ = machine._close(rows[0], acc[0], rej[0])
+    one_acc, one_rej, _ = machine._close(rows[0])
     assert abs(one_acc - want_acc[0]) <= 1e-15
     assert abs(one_rej - want_rej[0]) <= 1e-15
 
@@ -244,11 +270,11 @@ def _swapped(machine, monkeypatch):
 def _accepts_counter_one(machine, monkeypatch):
     close = DiagonalQfa._close
 
-    def moved(self, rows, acc, rej):
+    def moved(self, rows):
         # A DFT times exp(2 pi i m / n) is the counters moved down by one,
         # so counter 1 lands where counter 0 is accepted.
         n = rows.shape[-1]
-        return close(self, rows * np.exp(2j * np.pi * np.arange(n) / n), acc, rej)
+        return close(self, rows * np.exp(2j * np.pi * np.arange(n) / n))
 
     monkeypatch.setattr(DiagonalQfa, "_close", moved)
     return machine

@@ -87,6 +87,31 @@ def test_validate_names_non_unitary_symbol():
     assert any("'a'" in p and "unitary" in p for p in problems)
 
 
+def test_validate_flags_a_nan_unitary():
+    spec = build_qfa(3)
+    broken = dict(spec.unitaries)
+    broken["b"] = broken["b"].copy()
+    broken["b"][0, 0] = complex("nan")
+    problems = validate(replace(spec, unitaries=broken))
+    assert problems == ["matrix for 'b' is not unitary (deviation nan)"]
+    # A NaN literal in a qfa.json file is refused on loading.
+    data = spec.to_json_dict()
+    data["unitaries"]["b"][0][0] = [float("nan"), 0.0]
+    with pytest.raises(ValueError, match="'b' is not unitary"):
+        QfaSpec.from_json_dict(data)
+
+
+def test_validate_flags_a_logical_state_count_that_is_not_a_state_count():
+    spec = build_qfa(3)
+    for count in (None, 1, 5, spec.dim):
+        assert validate(replace(spec, logical_state_count=count)) == []
+    for count in (-5, 0, "abc", 2.5, True, spec.dim + 1, 10**6):
+        want = f"logical_state_count {count!r} is not an int in 1..{spec.dim}"
+        assert validate(replace(spec, logical_state_count=count)) == [want]
+        with pytest.raises(ValueError, match="logical_state_count"):
+            QfaSpec.from_json_dict({**spec.to_json_dict(), "logical_state_count": count})
+
+
 def test_validate_flags_missing_and_unknown_matrices():
     spec = build_qfa(3)
     trimmed = dict(spec.unitaries)
