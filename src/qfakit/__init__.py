@@ -6,6 +6,9 @@ basis for circulant letters), recognizers for the
 language of words whose two letter counts are both divisible by n, the
 minimal classical DFA baseline, and a command-line harness that checks
 the acceptance bounds and the circulant power-classification laws.
+What it exports is what the library, the command line or callers use;
+second implementations that only the tests run live beside them, in
+tests/oracles.py.
 """
 
 from .circulant import (
@@ -13,7 +16,6 @@ from .circulant import (
     SpecialShiftProfile,
     classify_special,
     cyclic_shift_circulant,
-    iter_powers,
     quadratic_phase_circulant,
     quadratic_power_rows,
 )
@@ -26,7 +28,6 @@ from .divisibility import (
     build_diagonal_qfa,
     build_qfa,
     counts_in_language,
-    dfa_accepts,
     exact_accept_probability,
     is_member,
     meets_permutation_criterion,
@@ -37,7 +38,6 @@ from .modular import (
     Factorization,
     factorize,
     quad_exp_sum,
-    shift_invariance_check,
 )
 from .qfa import (
     LEFT_MARKER,
@@ -76,12 +76,10 @@ __all__ = [
     "classify_special",
     "counts_in_language",
     "cyclic_shift_circulant",
-    "dfa_accepts",
     "exact_accept_probability",
     "factorize",
     "initial_superposition",
     "is_member",
-    "iter_powers",
     "meets_permutation_criterion",
     "minimize_dfa",
     "quad_exp_sum",
@@ -90,7 +88,6 @@ __all__ = [
     "run",
     "run_many",
     "run_sampled",
-    "shift_invariance_check",
     "step",
     "validate",
     "word_stats",

@@ -2,12 +2,11 @@
 
 A circulant here is the n x n matrix with entry (i, j) equal to
 first_row[(j - i) mod n]: each row is the previous one rotated right.
-Products, adjoints, and powers all stay in first-row space; the dense
-expansion exists for interfacing with generic matrix code and for test
-oracles, never for the algebra itself.  The public first_row is a tuple
-of Python complex numbers; alongside it each matrix keeps one read-only
-ndarray copy of the row, made at construction, which the algebra uses
-instead of rebuilding an array from the tuple.
+Products and powers stay in first-row space; the dense expansion exists
+for interfacing with generic matrix code and for test oracles, never for
+the algebra itself.  A matrix holds nothing but its order n and first_row,
+a tuple of Python complex numbers, so equality, hashing, pickling and
+copying are those of a frozen dataclass.
 
 The algebra runs on numpy arrays.  A product is a direct cyclic
 convolution (np.convolve, then the tail folded onto the head), not an
@@ -47,32 +46,19 @@ class ShiftMatrix:
     first_row: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"order must be positive, got {self.n}")
+        # A float or a bool order would build a matrix that power() and
+        # to_dense() cannot use.
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"order must be a positive int, got {self.n!r}")
         # A copy, so later edits to the caller's array cannot reach it.
         row = np.array(self.first_row, dtype=complex)
         if row.shape != (self.n,):
             raise ValueError(f"first row has shape {row.shape}, expected ({self.n},)")
-        row.flags.writeable = False
         object.__setattr__(self, "first_row", tuple(row.tolist()))
-        object.__setattr__(self, "_row", row)
-
-    def _array(self) -> np.ndarray:
-        """The first row as a read-only array; copy it before writing."""
-        return self._row
-
-    def __reduce__(self):
-        # Pickles and copies go through the constructor, which makes their
-        # own read-only row.
-        return (ShiftMatrix, (self.n, self.first_row))
 
     @classmethod
     def identity(cls, n: int) -> ShiftMatrix:
         return cls(n, ((1 + 0j),) + (0j,) * (n - 1))
-
-    def entry(self, i: int, j: int) -> complex:
-        """Dense entry (i, j) without expanding the matrix."""
-        return self.first_row[(j - i) % self.n]
 
     def __matmul__(self, other: ShiftMatrix) -> ShiftMatrix:
         """Circulant product: cyclic convolution of the first rows."""
@@ -81,15 +67,10 @@ class ShiftMatrix:
         if self.n != other.n:
             raise ValueError(f"order mismatch: {self.n} vs {other.n}")
         n = self.n
-        full = np.convolve(self._array(), other._array())
+        full = np.convolve(np.asarray(self.first_row), np.asarray(other.first_row))
         row = full[:n]
         row[: n - 1] += full[n:]
         return ShiftMatrix(n, row)
-
-    def conj_transpose(self) -> ShiftMatrix:
-        """Adjoint; again a circulant, with row j holding conj(row[-j])."""
-        n = self.n
-        return ShiftMatrix(n, self._array()[-np.arange(n) % n].conj())
 
     def power(self, s: int) -> ShiftMatrix:
         """s-th power by iterated multiplication, s >= 0."""
@@ -100,16 +81,10 @@ class ShiftMatrix:
             acc = acc @ self
         return acc
 
-    def is_unitary(self, tol: float = _DEFAULT_TOL) -> bool:
-        """Check A @ A.conj_transpose() == identity entrywise within tol."""
-        prod = (self @ self.conj_transpose())._array().copy()
-        prod[0] -= 1
-        return bool(np.abs(prod).max() <= tol)
-
     def to_dense(self) -> np.ndarray:
         index = np.arange(self.n)
         # entry (i, j) is row[(j - i) mod n]
-        return self._array()[-np.subtract.outer(index, index) % self.n]
+        return np.asarray(self.first_row)[-np.subtract.outer(index, index) % self.n]
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,15 +117,6 @@ def cyclic_shift_circulant(n: int) -> ShiftMatrix:
     if n == 1:
         return ShiftMatrix.identity(1)
     return ShiftMatrix(n, (0j, 1 + 0j) + (0j,) * (n - 2))
-
-
-def iter_powers(a: ShiftMatrix, s_max: int) -> Iterator[tuple[int, ShiftMatrix]]:
-    """Yield (s, a**s) for s = 1..s_max, multiplying incrementally."""
-    acc = a
-    for s in range(1, s_max + 1):
-        yield s, acc
-        if s < s_max:
-            acc = acc @ a
 
 
 def quadratic_power_spectra(n: int, s: Sequence[int]) -> np.ndarray:
@@ -204,18 +170,6 @@ class SpecialShiftProfile:
     k: int
     c: complex
 
-    @property
-    def n(self) -> int:
-        return self.l * self.g
-
-    def reconstruct(self) -> ShiftMatrix:
-        """Rebuild the circulant this profile describes."""
-        n = self.n
-        j = np.arange(self.g, dtype=np.int64)
-        row = np.zeros(n, dtype=complex)
-        row[:: self.l] = self.c * unit_phases((self.k * self.l % n) * (j * j % n), n)
-        return ShiftMatrix(n, row)
-
 
 def classify_special(
     a: ShiftMatrix | np.ndarray | Sequence[complex],
@@ -234,7 +188,7 @@ def classify_special(
     against every surviving entry.  Any mismatch, a zero row, or a
     vanishing entry 0 means the row is not of this form.
     """
-    rows = a._array() if isinstance(a, ShiftMatrix) else np.asarray(a, dtype=complex)
+    rows = np.asarray(a.first_row if isinstance(a, ShiftMatrix) else a, dtype=complex)
     if rows.ndim not in (1, 2) or rows.shape[-1] == 0:
         raise ValueError(f"expected a row or a block of rows, got shape {rows.shape}")
     stack = np.atleast_2d(rows)

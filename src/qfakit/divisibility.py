@@ -339,15 +339,6 @@ def build_dfa(n: int) -> DfaSpec:
     return DfaSpec.from_arrays(names, successors, np.arange(n * n) == 0, 0)
 
 
-def dfa_accepts(dfa: DfaSpec, word: str) -> bool:
-    state = dfa.start_index
-    for ch in word:
-        if ch not in ALPHABET:
-            raise ValueError(f"symbol {ch!r} not in the input alphabet")
-        state = dfa.successors[ALPHABET.index(ch), state]
-    return bool(dfa.accept_mask[state])
-
-
 def _reachable(successors: np.ndarray, start: int) -> np.ndarray:
     # Breadth-first search over the successor arrays.  The seen mask is
     # allocated once and each level touches only its frontier's

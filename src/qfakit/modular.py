@@ -83,19 +83,3 @@ def quad_exp_sum(b: int, t: int, n: int) -> complex:
         raise ValueError(f"modulus must be positive, got {n}")
     roots, j, j_sq = _roots(n)
     return complex(roots[((b % n) * j_sq - 2 * (t % n) * j) % n].sum())
-
-
-def shift_invariance_check(c1: int, c2: int, n: int) -> tuple[complex, complex]:
-    """Evaluate sum_j exp((2*pi/n)i * c1*j^2) with and without j -> j + c2.
-
-    Returns (unshifted, shifted); the two agree because j + c2 runs over
-    the same residues mod n as j does.
-    """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    c1 %= n
-    roots, j, j_sq = _roots(n)
-    shifted = (j + c2 % n) % n
-    lhs = roots[c1 * j_sq % n].sum()
-    rhs = roots[c1 * (shifted * shifted % n) % n].sum()
-    return complex(lhs), complex(rhs)

@@ -61,13 +61,14 @@ BLOCK_ROWS = 128
 class QfaSpec:
     """Static description of a measure-many one-way automaton.
 
-    ``unitaries`` must cover the working alphabet: every input symbol
-    plus the two markers.  They are stored as read-only complex copies
-    behind a read-only mapping, so a built spec cannot be edited in
-    place.  ``logical_state_count`` optionally records the size of the
-    state set in the source-level description when the realized
-    unitaries use extra basis states (e.g. parallel rejecting channels
-    added to make a many-to-one end-of-input map unitary).
+    Each input symbol is one character.  ``unitaries`` must cover the
+    working alphabet: every input symbol plus the two markers.  They are
+    stored as read-only complex copies behind a read-only mapping, so a
+    built spec cannot be edited in place.  ``logical_state_count``
+    optionally records the size of the state set in the source-level
+    description when the realized unitaries use extra basis states (e.g.
+    parallel rejecting channels added to make a many-to-one end-of-input
+    map unitary).
     """
 
     states: tuple[str, ...]
@@ -313,6 +314,10 @@ def _alphabet_problems(alphabet: tuple[str, ...]) -> list[str]:
     problems = []
     if len(set(alphabet)) != len(alphabet):
         problems.append("duplicate input symbols")
+    # Words are read one character per letter.
+    for sym in alphabet:
+        if not (isinstance(sym, str) and len(sym) == 1):
+            problems.append(f"input symbol {sym!r} is not one character")
     for sym in (LEFT_MARKER, RIGHT_MARKER):
         if sym in alphabet:
             problems.append(f"marker {sym!r} reused as an input symbol")
@@ -424,7 +429,7 @@ def _run_block(spec: Machine, words: list[str]) -> np.ndarray:
     lengths = np.array([len(word) for word in words])
     # letters[i, t] is the index in input_alphabet of letter t of word i;
     # the words' letters, joined, fill the row-major positions t < length.
-    index = {ord(sym): k for k, sym in enumerate(spec.input_alphabet) if len(sym) == 1}
+    index = {ord(sym): k for k, sym in enumerate(spec.input_alphabet)}
     coded = "".join(words).translate(index).encode("utf-32-le")
     letters = np.zeros((len(words), len(words[0])), dtype=np.intp)
     letters[np.arange(len(words[0])) < lengths[:, None]] = np.frombuffer(coded, dtype=np.uint32)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from qfakit import cli, divisibility
-from qfakit.divisibility import DfaSpec, build_dfa, dfa_accepts
-from qfakit.circulant import ShiftMatrix, classify_special, iter_powers, quadratic_phase_circulant
+from qfakit.divisibility import DfaSpec, build_dfa
+from qfakit.circulant import ShiftMatrix, classify_special, quadratic_phase_circulant
 from qfakit.qfa import QfaSpec, accept_probability, validate
+from oracles import dfa_accepts, is_unitary, iter_powers
 
 
 def run_cli(capsys, argv):
@@ -345,9 +346,9 @@ def _reference_lemma_report(n):
     p_min = min(p for p in range(3, n + 1, 2) if n % p == 0)
     rows = []
     law_ok = first_entry_ok = True
-    for s, power in iter_powers(quadratic_phase_circulant(n), n):
+    for s, power in iter_powers(quadratic_phase_circulant(n).first_row, n):
         profile = classify_special(power)
-        x0_sq = abs(power.first_row[0]) ** 2
+        x0_sq = abs(power[0]) ** 2
         row = {"s": s, "is_special": profile is not None}
         if profile is not None:
             row.update(l=profile.l, g=profile.g, k=profile.k, c_abs=cli.fmt12(abs(profile.c)))
@@ -524,7 +525,7 @@ def test_export_roundtrip(tmp_path, capsys):
 
     for letter in ("a", "b"):
         matrix = ShiftMatrix.from_json_dict(circ_data[letter])
-        assert matrix.is_unitary(1e-9)
+        assert is_unitary(matrix.first_row, 1e-9)
 
 
 def test_export_refuses_n_above_the_dfa_cap(tmp_path, capsys, monkeypatch):

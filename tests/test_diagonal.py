@@ -126,6 +126,14 @@ def test_construction_refuses_duplicate_and_marker_letters():
             DiagonalQfa(("a", marker), {"a": ones, marker: ones})
 
 
+def test_construction_refuses_letters_that_are_not_one_character():
+    # validate's wording for a QfaSpec with the same alphabet.
+    ones = np.ones(3)
+    for sym in ("ab", ""):
+        with pytest.raises(ValueError, match=f"^input symbol {sym!r} is not one character$"):
+            DiagonalQfa((sym,), {sym: ones})
+
+
 def test_construction_refuses_empty_spectra():
     # Spectra of unequal lengths are refused first, naming each letter's
     # shape, as in the test above; equal empty ones reach this check.

@@ -16,7 +16,6 @@ from qfakit.divisibility import (
     build_dfa,
     build_qfa,
     counts_in_language,
-    dfa_accepts,
     exact_accept_probability,
     is_member,
     meets_permutation_criterion,
@@ -25,6 +24,7 @@ from qfakit.divisibility import (
 )
 from qfakit.modular import factorize
 from qfakit.qfa import LEFT_MARKER, RIGHT_MARKER, accept_probability, run_many, validate
+from oracles import dfa_accepts
 
 
 def words_up_to(max_len):

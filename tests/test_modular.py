@@ -8,9 +8,9 @@ from qfakit.modular import (
     _roots,
     factorize,
     quad_exp_sum,
-    shift_invariance_check,
     unit_phases,
 )
+from oracles import shift_invariance_check
 
 ODD_MODULI = [3, 5, 9, 15]
 

@@ -79,6 +79,19 @@ def test_validate_flags_bad_names():
     assert validate(marker) == ["marker '$' reused as an input symbol"]
 
 
+def test_validate_flags_input_symbols_that_are_not_one_character():
+    # A word is read one character per letter, so a longer symbol could
+    # never be read: run() would refuse every word that spells it.
+    spec = build_qfa(3)
+    for sym in ("ab", ""):
+        unitaries = dict(spec.unitaries)
+        unitaries[sym] = unitaries.pop("b")
+        wide = replace(spec, input_alphabet=("a", sym), unitaries=unitaries)
+        assert validate(wide) == [f"input symbol {sym!r} is not one character"]
+        with pytest.raises(ValueError, match="is not one character"):
+            QfaSpec.from_json_dict(wide.to_json_dict())
+
+
 def test_validate_names_non_unitary_symbol():
     spec = build_qfa(3)
     broken = dict(spec.unitaries)
