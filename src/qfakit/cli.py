@@ -59,8 +59,8 @@ EXPORT_MAX_N = 101
 # further length doubles the time and the memory.
 SCAN_MAX_LEN = 20
 # scan holds every sampled word, its shuffled copy and both results before
-# judging them: 20000 samples take about 0.7 s and 49 MB peak RSS at n = 3,
-# 50000 about 1.5 s and 77 MB, and both grow linearly.
+# judging them: 20000 samples take about 0.5 s and 50 MB peak RSS at n = 3,
+# 50000 about 1.0 s and 77 MB (fresh processes), and both grow linearly.
 SCAN_MAX_SAMPLES = 50000
 # scan simulates 2**(L + 1) - 1 exhaustive words and 2 * samples sampled
 # ones (each sample and its shuffled copy) and is charged n per word: in the
@@ -69,9 +69,9 @@ SCAN_MAX_SAMPLES = 50000
 # n = 101 and 23 us at n = 1001 on a 2-vCPU VM).  The cap admits every run
 # that the former dense (2n + 1)**2 charges admitted (the largest, n = 141,
 # L = 9 with 50000 samples, is charged 14.2M), and at n = 1001 up to L = 13
-# (0.7 s, 65 MB peak RSS) or 8379 samples (2.2 s, 41 MB).  Its slowest new
-# run, n = 101, L = 15 with 50000 samples (3.4 s, fresh processes), is
-# faster than n = 3, L = 20 with 50000 samples (4.4 s).
+# (0.7 s, 65 MB peak RSS) or 8379 samples (1.7 s, 42 MB).  Its slowest new
+# run, n = 101, L = 15 with 50000 samples (1.7 s, fresh processes), is
+# faster than n = 3, L = 20 with 50000 samples (2.2 s).
 SCAN_MAX_WORK = 2**24
 # The largest n lemmas admits.  lemma_report streams the powers in blocks
 # of O(n) memory and costs O(n**2 log n): on a 2-vCPU VM `lemmas --n 3001`
@@ -80,6 +80,10 @@ SCAN_MAX_WORK = 2**24
 LEMMAS_MAX_N = 10001
 # scan samples its random words with lengths up to this (or max_len + 1).
 RANDOM_MAX_LEN = 40
+# _draw_samples reads this many samples per getrandbits call, so that its
+# arrays stay small at SCAN_MAX_SAMPLES; every sample reads the same
+# outputs whatever the block, so the words do not depend on it.
+DRAW_BLOCK = 256
 
 
 def fmt12(x: float) -> str:
@@ -110,6 +114,44 @@ def _judge(
     return wrong, float(lowest), float(highest)
 
 
+def _draw_samples(
+    rng: random.Random, samples: int, low: int, high: int
+) -> tuple[list[str], list[str], np.ndarray]:
+    """samples random words with lengths in low..high, their shuffled copies and b-counts.
+
+    Each sample reads 1 + high consecutive 32-bit outputs of
+    rng.getrandbits.  Output 0 picks the length, low + (output * (high -
+    low + 1) >> 32); output i gives letter i, ALPHABET[output >> 31], and
+    its shuffle key, the low 31 bits.  The shuffled copy spells the
+    word's letters in stable order of their keys.
+    """
+    words: list[str] = []
+    shuffled: list[str] = []
+    count_b = np.empty(samples, dtype=np.int64)
+    codes = np.frombuffer("".join(ALPHABET).encode("ascii"), dtype=np.uint8)
+    shift = high.bit_length()
+    for first in range(0, samples, DRAW_BLOCK):
+        rows = min(DRAW_BLOCK, samples - first)
+        size = 4 * (1 + high) * rows
+        out = np.frombuffer(rng.getrandbits(8 * size).to_bytes(size, "little"), dtype="<u4")
+        out = out.reshape(rows, 1 + high).astype(np.int64)
+        lengths = low + (out[:, 0] * (high - low + 1) >> 32)
+        used = np.arange(high) < lengths[:, None]
+        bits = out[:, 1:] >> 31
+        # Each key with its position below it: sorted, these give the keys'
+        # stable order 5-6 times faster than a stable argsort.  Keys past a
+        # word's end sort after all of its own.
+        keyed = np.where(used, out[:, 1:] & 0x7FFFFFFF, 2**31) << shift | np.arange(high)
+        order = np.sort(keyed, axis=1) & (2**shift - 1)
+        count_b[first : first + rows] = (bits & used).sum(axis=1)
+        text = codes[bits].tobytes().decode("ascii")
+        mixed = codes[np.take_along_axis(bits, order, axis=1)].tobytes().decode("ascii")
+        spans = list(zip(range(0, rows * high, high), lengths.tolist()))
+        words += [text[start : start + length] for start, length in spans]
+        shuffled += [mixed[start : start + length] for start, length in spans]
+    return words, shuffled, count_b
+
+
 def _bound_violation(member: bool, word: str, p: float) -> dict:
     kind = "member_probability" if member else "nonmember_bound"
     return {"kind": kind, "word": word, "p_accept": fmt12(p)}
@@ -121,11 +163,15 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     Words up to max_len are enumerated exhaustively in length-then-
     lexicographic order, with each shared prefix simulated once;
     samples further words with lengths in (max_len, RANDOM_MAX_LEN] are
-    drawn from a generator seeded with seed and simulated as one batch.
+    drawn from random.Random(seed) and simulated as one batch.
     Members must accept with probability 1, non-members with at most
     1/p_min, both within 1e-9.  Each sampled word is also re-run
     under one random permutation of its letters, which must not change
     the probability by more than 1e-12.
+
+    _draw_samples reads the samples in bulk; a seed gives other words
+    than the letter-by-letter draw it replaced, but the same report
+    wherever no sampled word sets an extreme or is named.
 
     The verdicts are taken over arrays, one length at a time and then
     the sampled batch.  Word i of length L spells i in binary, so the
@@ -138,33 +184,28 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     bound = 1.0 / factorize(n).p_min
     started = time.perf_counter()
     levels = accept_all_words(spec, max_len)
-    rng = random.Random(seed)
-    low = max_len + 1
-    high = max(RANDOM_MAX_LEN, low)
-    sampled: list[str] = []
-    for _ in range(samples):
-        length = rng.randint(low, high)
-        word = "".join(rng.choice(ALPHABET) for _ in range(length))
-        sampled += [word, "".join(rng.sample(word, len(word)))]
-    results = run_many(spec, sampled)
+    high = max(RANDOM_MAX_LEN, max_len + 1)
+    words, shuffled, sampled_b = _draw_samples(random.Random(seed), samples, max_len + 1, high)
+    results = run_many(spec, [w for pair in zip(words, shuffled) for w in pair])
 
     counterexamples: list[dict] = []
     lowest, highest = np.inf, -np.inf
-    count_b = np.zeros(1, dtype=np.uint16)
+    # int32 takes `% n` for every n below 2**31, far past any machine that
+    # fits in memory; int64 cost 8 MB more peak RSS at max_len 20, n = 3.
+    count_b = np.zeros(1, dtype=np.int32)
     for length, p in enumerate(levels):
         if length:
-            count_b = np.column_stack((count_b, count_b + 1)).ravel()
-        member = counts_in_language(length - count_b, count_b, n)
+            count_b = np.repeat(count_b, 2)
+            count_b[1::2] += 1
+        # length - b and b are both divisible by n exactly when length and b are.
+        member = counts_in_language(length, count_b, n)
         wrong, lowest, highest = _judge(member, p, bound, lowest, highest)
         for i in np.flatnonzero(wrong).tolist():
             counterexamples.append(_bound_violation(member[i], _spell(ALPHABET, length, i), p[i]))
 
-    words = sampled[::2]
     p = np.array([result.p_accept for result in results[::2]])
     delta = np.abs(p - [result.p_accept for result in results[1::2]])
-    count_a = np.array([w.count("a") for w in words], dtype=np.int64)
-    count_b = np.array([w.count("b") for w in words], dtype=np.int64)
-    member = counts_in_language(count_a, count_b, n)
+    member = counts_in_language(np.fromiter(map(len, words), np.int64) - sampled_b, sampled_b, n)
     wrong, lowest, highest = _judge(member, p, bound, lowest, highest)
     for i in np.flatnonzero(wrong | (delta > SHUFFLE_TOL)).tolist():
         if wrong[i]:

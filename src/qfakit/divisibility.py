@@ -345,15 +345,18 @@ def _reachable(successors: np.ndarray, start: int) -> np.ndarray:
     # successors, so a level costs O(f log f) for a frontier of f states:
     # the n * n product counter has 2n - 1 levels, and an O(N) pass per
     # level would make the search O(n**3).  Repeats are dropped by sorting
-    # them next to each other; np.unique took three times as long (numpy
-    # 2.4, n = 1001).
+    # them next to each other and keeping the first of each run; np.unique
+    # took three times as long, np.diff with prepend 1.4 times (numpy 2.4,
+    # n = 1001).
     seen = np.zeros(successors.shape[1], dtype=bool)
     seen[start] = True
     frontier = np.array([start])
     while frontier.size:
         successor = successors[:, frontier].ravel()
         successor = np.sort(successor[~seen[successor]])
-        frontier = successor[np.diff(successor, prepend=-1) != 0]
+        first = np.ones(successor.size, dtype=bool)
+        np.not_equal(successor[1:], successor[:-1], out=first[1:])
+        frontier = successor[first]
         seen[frontier] = True
     return seen
 

@@ -87,3 +87,21 @@ def dfa_accepts(dfa: DfaSpec, word: str) -> bool:
             raise ValueError(f"symbol {ch!r} not in the input alphabet")
         state = dfa.successors[ALPHABET.index(ch), state]
     return bool(dfa.accept_mask[state])
+
+
+def sampled_word(rng, low: int, high: int) -> tuple[str, str]:
+    """One sample of scan: a word with length in low..high and its shuffled copy.
+
+    One getrandbits(32 * (1 + high)) call, read as 1 + high 32-bit
+    outputs from the least significant end: output 0 picks the length by
+    multiply-shift, output i gives letter i (its top bit) and that
+    letter's shuffle key (its low 31 bits).  sorted() is stable, so equal
+    keys keep the order of their letters.
+    """
+    bits = rng.getrandbits(32 * (1 + high))
+    out = [bits >> (32 * i) & 0xFFFFFFFF for i in range(1 + high)]
+    length = low + (out[0] * (high - low + 1) >> 32)
+    letters = [ALPHABET[x >> 31] for x in out[1 : 1 + length]]
+    keys = [x & 0x7FFFFFFF for x in out[1 : 1 + length]]
+    order = sorted(range(length), key=keys.__getitem__)
+    return "".join(letters), "".join(letters[i] for i in order)

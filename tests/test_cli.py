@@ -2,15 +2,22 @@ import argparse
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 from qfakit import cli, divisibility
 from qfakit.divisibility import DfaSpec, build_dfa
-from qfakit.circulant import ShiftMatrix, classify_special, quadratic_phase_circulant
-from qfakit.qfa import QfaSpec, accept_probability, validate
-from oracles import dfa_accepts, is_unitary, iter_powers
+from qfakit.circulant import (
+    ShiftMatrix,
+    classify_special,
+    quadratic_phase_circulant,
+    quadratic_power_spectra,
+)
+from qfakit.modular import unit_phases
+from qfakit.qfa import DiagonalQfa, QfaSpec, accept_probability, validate
+from oracles import dfa_accepts, is_unitary, iter_powers, sampled_word
 
 
 def run_cli(capsys, argv):
@@ -135,24 +142,70 @@ def test_scan_reports_real_counterexamples_in_scan_order(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_many", perturbed_batch)
     report = cli.scan_report(3, 4, 5, seed=2)
     first, second = sampled[0], sampled[2]
-    assert (first, second) == ("aababbaa", "abbbbba")
+    # first (15 a, 24 b) is a member, second (19 a, 17 b) is not.
+    assert (first, second) == (
+        "bbbaaaababbbbaabababbabababbbbbbabbabab",
+        "aaababaabbbabaaaaaaaabbabbbbabbababb",
+    )
     assert report["counterexamples"] == [
         {"kind": "member_probability", "word": "", "p_accept": "0.500000000000"},
         {"kind": "nonmember_bound", "word": "ab", "p_accept": "0.800000000000"},
         {"kind": "member_probability", "word": "aaa", "p_accept": "0.700000000000"},
         {"kind": "nonmember_bound", "word": "abba", "p_accept": "0.500000000000"},
-        {"kind": "nonmember_bound", "word": first, "p_accept": "0.900000000000"},
+        {"kind": "member_probability", "word": first, "p_accept": "0.900000000000"},
         {"kind": "shuffle_variance", "word": first, "p_accept": "0.900000000000"},
         {"kind": "shuffle_variance", "word": second, "p_accept": "0.333333333333"},
     ]
     assert report["words_scanned"] == 31 + 5
     assert report["min_member_prob"] == "0.500000000000"
-    assert report["max_nonmember_prob"] == "0.900000000000"
-    assert report["max_shuffle_delta"] == cli.fmt12(0.9 - 1 / 3)
+    assert report["max_nonmember_prob"] == "0.800000000000"
+    assert report["max_shuffle_delta"] == cli.fmt12(1 - 0.9)
     argv = ["scan", "--n", "3", "--max-len", "4", "--samples", "5", "--seed", "2", "--json"]
     code, out, _ = run_cli(capsys, argv)
     assert code == 1
     assert json.loads(out)["counterexamples"] == report["counterexamples"]
+
+
+@pytest.mark.parametrize("block", [1, 3, cli.DRAW_BLOCK])
+def test_scan_draw_reads_the_generator_as_the_plain_reading(monkeypatch, block):
+    # The same words for every block size, sample by sample, as one
+    # getrandbits(32 * (1 + high)) call per sample reads them.
+    monkeypatch.setattr(cli, "DRAW_BLOCK", block)
+    for samples, low, high, seed in [(10, 5, 40, 0), (7, 1, 2, 9), (cli.DRAW_BLOCK + 5, 11, 40, 3)]:
+        words, shuffled, count_b = cli._draw_samples(random.Random(seed), samples, low, high)
+        rng = random.Random(seed)
+        assert list(zip(words, shuffled)) == [sampled_word(rng, low, high) for _ in range(samples)]
+        assert count_b.dtype == np.int64
+        assert count_b.tolist() == [w.count("b") for w in words]
+
+
+def test_scan_draw_properties():
+    words, shuffled, count_b = cli._draw_samples(random.Random(5), 2000, 11, 40)
+    assert set(map(len, words)) == set(range(11, 41))
+    assert all(sorted(w) == sorted(s) for w, s in zip(words, shuffled))
+    assert sum(w != s for w, s in zip(words, shuffled)) > 1900
+    assert count_b.tolist() == [w.count("b") for w in words]
+    again = cli._draw_samples(random.Random(5), 2000, 11, 40)
+    assert again[:2] == (words, shuffled) and again[2].tolist() == count_b.tolist()
+    assert cli._draw_samples(random.Random(6), 2000, 11, 40)[0] != words
+    empty = cli._draw_samples(random.Random(5), 0, 11, 40)
+    assert empty[:2] == ([], []) and empty[2].shape == (0,)
+    fixed, _, _ = cli._draw_samples(random.Random(5), 50, 7, 7)
+    assert set(map(len, fixed)) == {7}
+
+
+def test_scan_counts_b_past_the_uint16_range(monkeypatch):
+    # n = 65537 is prime, so a member needs 65537 letters and none of the
+    # words scanned here is one; a b-count mod n in uint16 would overflow.
+    def machine(n):
+        spectra = {"a": quadratic_power_spectra(n, [1])[0], "b": unit_phases(-np.arange(n), n)}
+        return DiagonalQfa(input_alphabet=divisibility.ALPHABET, spectra=spectra)
+
+    monkeypatch.setattr(cli, "build_machine", machine)
+    report = cli.scan_report(65537, 3, 4, seed=0)
+    assert report["counterexamples"] == []
+    assert report["words_scanned"] == 15 + 4
+    assert report["min_member_prob"] == "1.000000000000"  # the empty word
 
 
 def test_scan_caps_max_len_before_scanning(capsys, monkeypatch):

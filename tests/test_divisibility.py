@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qfakit.divisibility import (
     ALPHABET,
+    _reachable,
     DENSE_MAX_N,
     DfaSpec,
     WordStats,
@@ -345,6 +346,26 @@ def test_minimize_keeps_every_state_of_a_permutation_dfa(data, size):
     assume(len(reachable_from(dfa, dfa.start)) == size)
     assert meets_permutation_criterion(dfa)
     assert minimize_dfa(dfa) == dfa
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), size=st.integers(1, 30), island=st.integers(0, 10))
+def test_reachable_matches_a_set_search(data, size, island):
+    # The first size states link among themselves (self-loops included);
+    # the island states may point anywhere, so none of them is reached
+    # from a start among the first size.
+    total = size + island
+    successors = np.array(
+        [
+            data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+            + data.draw(st.lists(st.integers(0, total - 1), min_size=island, max_size=island))
+            for _ in ALPHABET
+        ]
+    )
+    start = data.draw(st.integers(0, size - 1))
+    dfa = DfaSpec.from_arrays([f"q{i}" for i in range(total)], successors, np.arange(total) == 0, start)
+    want = {int(name[1:]) for name in reachable_from(dfa, dfa.start)}
+    assert np.flatnonzero(_reachable(dfa.successors, start)).tolist() == sorted(want)
 
 
 @pytest.mark.parametrize("n", [*range(1, 26, 2), 101])

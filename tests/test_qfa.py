@@ -26,6 +26,7 @@ from qfakit.qfa import (
     step,
     validate,
 )
+from oracles import sampled_word
 
 
 def projector_oracle(spec, word):
@@ -505,9 +506,9 @@ def _reference_scan(n, max_len, samples, seed, random_max_len=40):
     high = max(random_max_len, low)
     max_delta = 0.0
     for _ in range(samples):
-        word = "".join(rng.choice("ab") for _ in range(rng.randint(low, high)))
+        word, shuffled = sampled_word(rng, low, high)
         p = check(word)
-        delta = abs(p - run(spec, "".join(rng.sample(word, len(word)))).p_accept)
+        delta = abs(p - run(spec, shuffled).p_accept)
         max_delta = max(max_delta, delta)
         if delta > cli.SHUFFLE_TOL:
             counterexamples.append({"kind": "shuffle_variance", "word": word, "p_accept": cli.fmt12(p)})
