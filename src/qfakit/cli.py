@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import qfa
 from .circulant import (
     classify_special,
     cyclic_shift_circulant,
@@ -40,7 +41,7 @@ from .divisibility import (
     word_stats,
 )
 from .modular import factorize
-from .qfa import _spell, accept_all_words, run, run_many
+from .qfa import _spell, accept_all_words, run
 
 # The machine run, scan and compare simulate: the recognizer in the DFT
 # basis.  They look it up by this name when called, so the dense QfaSpec
@@ -58,20 +59,18 @@ EXPORT_MAX_N = 101
 # --max-len 18 takes about 0.5 s and --max-len 20 about 1.5 s, and every
 # further length doubles the time and the memory.
 SCAN_MAX_LEN = 20
-# scan holds every sampled word, its shuffled copy and both results before
-# judging them: 20000 samples take about 0.5 s and 50 MB peak RSS at n = 3,
-# 50000 about 1.0 s and 77 MB (fresh processes), and both grow linearly.
+# scan holds the codes of every sampled word and shuffled copy and both results
+# before judging them: 20000 samples take about 0.3 s and 37 MB peak RSS at
+# n = 3, 50000 about 0.6 s and 45 MB (fresh processes); both grow linearly.
 SCAN_MAX_SAMPLES = 50000
 # scan simulates 2**(L + 1) - 1 exhaustive words and 2 * samples sampled
 # ones (each sample and its shuffled copy) and is charged n per word: in the
 # DFT basis an exhaustive word costs one letter, one copy of its parent's
 # row and the two sums that close it, each O(n) (0.5 us at n = 3, 2.6 us at
 # n = 101 and 23 us at n = 1001 on a 2-vCPU VM).  The cap admits every run
-# that the former dense (2n + 1)**2 charges admitted (the largest, n = 141,
-# L = 9 with 50000 samples, is charged 14.2M), and at n = 1001 up to L = 13
-# (0.7 s, 65 MB peak RSS) or 8379 samples (1.7 s, 42 MB).  Its slowest new
-# run, n = 101, L = 15 with 50000 samples (1.7 s, fresh processes), is
-# faster than n = 3, L = 20 with 50000 samples (2.2 s).
+# that the former dense (2n + 1)**2 charges admitted, and at n = 1001 up to
+# L = 13 (0.5 s, 62 MB peak RSS) or 8379 samples (1.4 s, 41 MB); n = 101,
+# L = 15 with 50000 samples takes 1.3 s (fresh processes).
 SCAN_MAX_WORK = 2**24
 # The largest n lemmas admits.  lemma_report streams the powers in blocks
 # of O(n) memory and costs O(n**2 log n): on a 2-vCPU VM `lemmas --n 3001`
@@ -116,40 +115,38 @@ def _judge(
 
 def _draw_samples(
     rng: random.Random, samples: int, low: int, high: int
-) -> tuple[list[str], list[str], np.ndarray]:
-    """samples random words with lengths in low..high, their shuffled copies and b-counts.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """samples random words with lengths in low..high: codes, shuffled codes, lengths, b-counts.
 
     Each sample reads 1 + high consecutive 32-bit outputs of
     rng.getrandbits.  Output 0 picks the length, low + (output * (high -
     low + 1) >> 32); output i gives letter i, ALPHABET[output >> 31], and
     its shuffle key, the low 31 bits.  The shuffled copy spells the
-    word's letters in stable order of their keys.
+    word's letters in stable order of their keys.  Row i of the two
+    (samples, high) uint8 matrices holds sample i's codes, indices into
+    ALPHABET, in its first lengths[i] entries.
     """
-    words: list[str] = []
-    shuffled: list[str] = []
-    count_b = np.empty(samples, dtype=np.int64)
-    codes = np.frombuffer("".join(ALPHABET).encode("ascii"), dtype=np.uint8)
+    words = np.empty((samples, high), dtype=np.uint8)
+    shuffled = np.empty_like(words)
+    lengths, count_b = np.empty((2, samples), dtype=np.int64)
     shift = high.bit_length()
     for first in range(0, samples, DRAW_BLOCK):
-        rows = min(DRAW_BLOCK, samples - first)
-        size = 4 * (1 + high) * rows
+        rows = slice(first, min(first + DRAW_BLOCK, samples))
+        size = 4 * (1 + high) * (rows.stop - first)
         out = np.frombuffer(rng.getrandbits(8 * size).to_bytes(size, "little"), dtype="<u4")
-        out = out.reshape(rows, 1 + high).astype(np.int64)
-        lengths = low + (out[:, 0] * (high - low + 1) >> 32)
-        used = np.arange(high) < lengths[:, None]
+        out = out.reshape(-1, 1 + high).astype(np.int64)
+        lengths[rows] = low + (out[:, 0] * (high - low + 1) >> 32)
+        used = np.arange(high) < lengths[rows, None]
         bits = out[:, 1:] >> 31
         # Each key with its position below it: sorted, these give the keys'
         # stable order 5-6 times faster than a stable argsort.  Keys past a
         # word's end sort after all of its own.
         keyed = np.where(used, out[:, 1:] & 0x7FFFFFFF, 2**31) << shift | np.arange(high)
         order = np.sort(keyed, axis=1) & (2**shift - 1)
-        count_b[first : first + rows] = (bits & used).sum(axis=1)
-        text = codes[bits].tobytes().decode("ascii")
-        mixed = codes[np.take_along_axis(bits, order, axis=1)].tobytes().decode("ascii")
-        spans = list(zip(range(0, rows * high, high), lengths.tolist()))
-        words += [text[start : start + length] for start, length in spans]
-        shuffled += [mixed[start : start + length] for start, length in spans]
-    return words, shuffled, count_b
+        count_b[rows] = (bits & used).sum(axis=1)
+        words[rows] = bits
+        shuffled[rows] = np.take_along_axis(bits, order, axis=1)
+    return words, shuffled, lengths, count_b
 
 
 def _bound_violation(member: bool, word: str, p: float) -> dict:
@@ -163,7 +160,8 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     Words up to max_len are enumerated exhaustively in length-then-
     lexicographic order, with each shared prefix simulated once;
     samples further words with lengths in (max_len, RANDOM_MAX_LEN] are
-    drawn from random.Random(seed) and simulated as one batch.
+    drawn from random.Random(seed) as letter codes and simulated as one
+    batch by qfa._run_codes, each word's row next to its shuffled copy's.
     Members must accept with probability 1, non-members with at most
     1/p_min, both within 1e-9.  Each sampled word is also re-run
     under one random permutation of its letters, which must not change
@@ -185,8 +183,10 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     started = time.perf_counter()
     levels = accept_all_words(spec, max_len)
     high = max(RANDOM_MAX_LEN, max_len + 1)
-    words, shuffled, sampled_b = _draw_samples(random.Random(seed), samples, max_len + 1, high)
-    results = run_many(spec, [w for pair in zip(words, shuffled) for w in pair])
+    rng = random.Random(seed)
+    words, mixed, lengths, sampled_b = _draw_samples(rng, samples, max_len + 1, high)
+    pairs = np.stack((words, mixed), axis=1).reshape(-1, high)
+    outcomes = qfa._run_codes(spec, pairs, np.repeat(lengths, 2))
 
     counterexamples: list[dict] = []
     lowest, highest = np.inf, -np.inf
@@ -203,16 +203,17 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
         for i in np.flatnonzero(wrong).tolist():
             counterexamples.append(_bound_violation(member[i], _spell(ALPHABET, length, i), p[i]))
 
-    p = np.array([result.p_accept for result in results[::2]])
-    delta = np.abs(p - [result.p_accept for result in results[1::2]])
-    member = counts_in_language(np.fromiter(map(len, words), np.int64) - sampled_b, sampled_b, n)
+    p = outcomes[0::2, 0]
+    delta = np.abs(p - outcomes[1::2, 0])
+    member = counts_in_language(lengths - sampled_b, sampled_b, n)
     wrong, lowest, highest = _judge(member, p, bound, lowest, highest)
     for i in np.flatnonzero(wrong | (delta > SHUFFLE_TOL)).tolist():
+        word = "".join(ALPHABET[k] for k in words[i, : lengths[i]].tolist())
         if wrong[i]:
-            counterexamples.append(_bound_violation(member[i], words[i], p[i]))
+            counterexamples.append(_bound_violation(member[i], word, p[i]))
         if delta[i] > SHUFFLE_TOL:
             counterexamples.append(
-                {"kind": "shuffle_variance", "word": words[i], "p_accept": fmt12(p[i])}
+                {"kind": "shuffle_variance", "word": word, "p_accept": fmt12(p[i])}
             )
 
     return {
@@ -223,7 +224,7 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
         "samples": samples,
         "random_max_len": high,
         "seed": seed,
-        "words_scanned": sum(map(len, levels)) + len(words),
+        "words_scanned": sum(map(len, levels)) + samples,
         "min_member_prob": fmt12(lowest),
         "max_nonmember_prob": None if highest == -np.inf else fmt12(highest),
         "max_shuffle_delta": fmt12(np.max(delta, initial=0.0)),

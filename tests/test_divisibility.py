@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qfakit.divisibility import (
     ALPHABET,
     _reachable,
+    _rerank,
     DENSE_MAX_N,
     DfaSpec,
     WordStats,
@@ -366,6 +367,23 @@ def test_reachable_matches_a_set_search(data, size, island):
     dfa = DfaSpec.from_arrays([f"q{i}" for i in range(total)], successors, np.arange(total) == 0, start)
     want = {int(name[1:]) for name in reachable_from(dfa, dfa.start)}
     assert np.flatnonzero(_reachable(dfa.successors, start)).tolist() == sorted(want)
+
+
+def test_rerank_matches_unique_inverse():
+    rng = np.random.default_rng(3)
+    cases = [
+        rng.integers(-(2**62), 2**62, size=500),  # few duplicates, if any
+        rng.integers(0, 40, size=1000),  # many duplicates
+        rng.integers(0, 2**40, size=300) * 2**20,  # wide keys
+        np.array([17]),
+        np.full(50, -4),
+        np.array([], dtype=np.int64),
+    ]
+    for keys in cases:
+        keys = keys.astype(np.int64)
+        rank = _rerank(keys)
+        assert rank.dtype == np.intp
+        assert rank.tolist() == np.unique(keys, return_inverse=True)[1].tolist()
 
 
 @pytest.mark.parametrize("n", [*range(1, 26, 2), 101])

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 from itertools import product
 from types import SimpleNamespace
 
@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfakit import cli
-from qfakit.divisibility import build_qfa, is_member
+from qfakit.divisibility import build_diagonal_qfa, build_qfa, is_member
 from qfakit.qfa import (
     BLOCK_ROWS,
     LEFT_MARKER,
     RIGHT_MARKER,
     QfaSpec,
+    RunResult,
+    _run_codes,
     _spell,
     accept_all_words,
     accept_probability,
@@ -456,6 +458,56 @@ def test_run_many_equals_run(words, name):
         assert abs(batched.p_residual - single.p_residual) <= 1e-12
 
 
+# The batch kernel on both kinds of machine: the dense ones, some halting
+# mid-word, and the recognizer in the DFT basis.
+CODE_MACHINES = {**KERNEL_SPECS, "diagonal5": build_diagonal_qfa(5)}
+
+
+def _codes(words, width=None, fill=None):
+    # words as the kernel takes them: a uint8 matrix of letter codes
+    # ("a" = 0, "b" = 1) and the lengths; fill gives the entries past a
+    # word's end, zero by default.
+    lengths = np.array([len(w) for w in words], dtype=np.intp)
+    width = max(lengths, default=0) if width is None else width
+    letters = np.zeros((len(words), width), dtype=np.uint8) if fill is None else fill
+    for row, word in zip(letters, words):
+        row[: len(word)] = ["ab".index(ch) for ch in word]
+    return letters, lengths
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    words=st.lists(st.text(alphabet="ab", max_size=20), max_size=30),
+    copies=st.integers(1, 6),
+    name=st.sampled_from(sorted(CODE_MACHINES)),
+)
+def test_run_codes_equals_run(words, copies, name):
+    # Repeats tie lengths, and up to 186 words span two blocks.
+    spec = CODE_MACHINES[name]
+    batch = (words + [""]) * copies
+    out = _run_codes(spec, *_codes(batch))
+    assert out.shape == (len(batch), 3)
+    single = {w: run(spec, w) for w in set(batch)}
+    for word, row in zip(batch, out):
+        _assert_close(RunResult(*row), astuple(single[word]))
+
+
+@pytest.mark.parametrize("name", sorted(CODE_MACHINES))
+def test_run_codes_ignores_codes_past_each_word(name):
+    spec = CODE_MACHINES[name]
+    rng = np.random.default_rng(7)
+    words = [random_word(random.Random(i), 30) for i in range(BLOCK_ROWS + 50)] + [""]
+    clean = _run_codes(spec, *_codes(words, width=35))
+    noise = rng.integers(0, 2, size=(len(words), 35), dtype=np.uint8)
+    assert np.array_equal(_run_codes(spec, *_codes(words, fill=noise)), clean)
+
+
+@pytest.mark.parametrize("name", sorted(CODE_MACHINES))
+def test_run_codes_empty_batch(name):
+    empty = _run_codes(CODE_MACHINES[name], np.zeros((0, 4), dtype=np.uint8), np.zeros(0, np.intp))
+    assert empty.shape == (0, 3)
+
+
 def _leaky_spec():
     spec = build_qfa(3)
     return replace(spec, unitaries={**spec.unitaries, "a": spec.unitaries["a"] * 1.1})
@@ -470,6 +522,15 @@ def test_conservation_is_checked_by_every_simulator():
         run_many(spec, ["", "bb", "ba", "a"])
     with pytest.raises(ValueError, match="not conserved on word 'a'"):
         accept_all_words(spec, 9)
+
+
+def test_run_codes_names_the_first_unconserved_word_in_input_order():
+    # Stepped longest first, "abaa" is closed before "ba", but "ba" comes
+    # first in the input; codes past each end spell no word.
+    spec = _leaky_spec()
+    letters, lengths = _codes(["", "bb", "ba", "abaa", "a"], fill=np.ones((5, 6), dtype=np.uint8))
+    with pytest.raises(ValueError, match="not conserved on word 'ba'"):
+        _run_codes(spec, letters, lengths)
 
 
 def test_cli_exits_two_on_unconserved_probability(capsys, monkeypatch):
