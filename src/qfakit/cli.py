@@ -305,7 +305,7 @@ def compare_report(n: int) -> dict:
     """
     qfa_spec = build_machine(n)
     dfa_spec = build_dfa(n)
-    dfa_states = len(dfa_spec.states)
+    dfa_states = dfa_spec.successors.shape[1]
     return {
         "n": n,
         "qfa_logical_states": qfa_spec.logical_state_count,

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qfakit import cli, divisibility
 from qfakit.divisibility import (
     ALPHABET,
     _reachable,
@@ -369,6 +372,39 @@ def test_reachable_matches_a_set_search(data, size, island):
     assert np.flatnonzero(_reachable(dfa.successors, start)).tolist() == sorted(want)
 
 
+@pytest.mark.parametrize(
+    "name, successors, start",
+    [
+        # Every state steps to state 3 on both letters.
+        ("funnel", np.full((2, 50), 3), 10),
+        # A 200-state chain: 'a' steps one on (the last state stays), 'b'
+        # stays put; ten island states point into the chain.
+        (
+            "chain",
+            np.array(
+                [
+                    [*range(1, 200), 199, *range(0, 200, 20)],
+                    [*range(200), *range(5, 200, 20)],
+                ]
+            ),
+            0,
+        ),
+    ],
+)
+def test_reachable_matches_a_set_search_on_fixed_shapes(name, successors, start):
+    size = successors.shape[1]
+    dfa = DfaSpec.from_arrays([f"q{i}" for i in range(size)], successors, np.arange(size) == 0, start)
+    want = {int(s[1:]) for s in reachable_from(dfa, dfa.start)}
+    assert np.flatnonzero(_reachable(dfa.successors, start)).tolist() == sorted(want), name
+
+
+def first_moore_keys(dfa):
+    # The keys of minimize_dfa's first re-rank: (own block, 'a'-successor's
+    # block), blocks starting from the accept/reject split.
+    block = dfa.accept_mask.astype(np.int64)
+    return block * len(block) + block[dfa.successors[0]]
+
+
 def test_rerank_matches_unique_inverse():
     rng = np.random.default_rng(3)
     cases = [
@@ -378,6 +414,7 @@ def test_rerank_matches_unique_inverse():
         np.array([17]),
         np.full(50, -4),
         np.array([], dtype=np.int64),
+        first_moore_keys(build_dfa(35)),  # few values in a periodic layout
     ]
     for keys in cases:
         keys = keys.astype(np.int64)
@@ -437,6 +474,35 @@ def test_dfa_json_roundtrip():
     dfa = build_dfa(4)
     again = DfaSpec.from_json_dict(dfa.to_json_dict())
     assert again == dfa
+    assert DfaSpec.from_json_dict(build_dfa(5).to_json_dict()) == build_dfa(5)
+
+
+def test_dfa_copies_are_equal_and_read_only():
+    named = DfaSpec(("p", "q"), "p", frozenset({"q"}), {"p": {"a": "q", "b": "p"}, "q": {"a": "p", "b": "q"}})
+    for dfa in (build_dfa(5), named):
+        for again in (pickle.loads(pickle.dumps(dfa)), copy.copy(dfa), copy.deepcopy(dfa)):
+            assert again == dfa
+            assert not again.successors.flags.writeable
+            assert not again.accept_mask.flags.writeable
+            with pytest.raises(ValueError):
+                again.successors[0, 0] = 1
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_build_dfa_spells_its_names_on_first_read(n):
+    assert build_dfa(n).states == tuple(f"a{i}b{j}" for i in range(n) for j in range(n))
+
+
+def test_state_counts_spell_no_names(monkeypatch):
+    def refuse(n):
+        raise AssertionError("state names spelled")
+
+    monkeypatch.setattr(divisibility, "_counter_names", refuse)
+    assert cli.compare_report(45)["dfa_minimized_states"] == 45 * 45
+    assert repr(build_dfa(45)) == "DfaSpec(2025 states, start index 0, 1 accepting)"
+    assert build_dfa(45) != build_dfa(44)
+    with pytest.raises(AssertionError, match="spelled"):
+        build_dfa(3).states
 
 
 def test_dfa_json_rejects_unknown_and_missing_names():
