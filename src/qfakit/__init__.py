@@ -30,7 +30,7 @@ from .divisibility import (
     counts_in_language,
     exact_accept_probability,
     is_member,
-    meets_permutation_criterion,
+    is_nerode_automaton,
     minimize_dfa,
     word_stats,
 )
@@ -80,7 +80,7 @@ __all__ = [
     "factorize",
     "initial_superposition",
     "is_member",
-    "meets_permutation_criterion",
+    "is_nerode_automaton",
     "minimize_dfa",
     "quad_exp_sum",
     "quadratic_phase_circulant",

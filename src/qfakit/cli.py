@@ -37,7 +37,7 @@ from .divisibility import (
     build_diagonal_qfa,
     build_qfa as build_dense_qfa,
     counts_in_language,
-    meets_permutation_criterion,
+    is_nerode_automaton,
     word_stats,
 )
 from .modular import factorize
@@ -295,13 +295,13 @@ def lemma_report(n: int) -> dict:
 def compare_report(n: int) -> dict:
     """State counts of the quantum recognizer against the minimal DFA.
 
-    build_dfa(n)'s n * n states are certified minimal by the permutation
-    criterion (meets_permutation_criterion): each letter permutes the
-    states, all are reachable and exactly one accepts.  That costs
-    O(n**2 log n) on the successor arrays, at every n build_machine admits.
-    dfa_minimized_states is n * n when the criterion holds and None when
-    it does not.  The quantum state counts are read from the machine in
-    the DFT basis, which holds no dense unitary.
+    is_nerode_automaton checks that build_dfa(n) is L_n's Nerode
+    automaton: it recognizes L_n, and no DFA for L_n has fewer than its
+    n * n states.  That costs O(n**2) on the successor arrays, at every n
+    build_machine admits.  dfa_minimized_states is n * n when build_dfa(n)
+    is so certified as L_n's minimal DFA, else None.  The quantum state
+    counts are read from the machine in the DFT basis, which holds no
+    dense unitary.
     """
     qfa_spec = build_machine(n)
     dfa_spec = build_dfa(n)
@@ -311,7 +311,7 @@ def compare_report(n: int) -> dict:
         "qfa_logical_states": qfa_spec.logical_state_count,
         "qfa_internal_states": qfa_spec.dim,
         "dfa_states": dfa_states,
-        "dfa_minimized_states": dfa_states if meets_permutation_criterion(dfa_spec) else None,
+        "dfa_minimized_states": dfa_states if is_nerode_automaton(dfa_spec, n) else None,
         "dfa_to_qfa_state_ratio": fmt12(dfa_states / qfa_spec.logical_state_count),
     }
 

@@ -10,9 +10,8 @@ as a dense QfaSpec, the general machine and the oracle; build_diagonal_qfa
 gives the same recognizer as a DiagonalQfa, built from the letters'
 closed-form spectra and stepped in the DFT basis at O(n) per letter.
 
-DFAs are stored as int successor arrays.  minimize_dfa is the general
-Moore minimizer; meets_permutation_criterion certifies the product
-counter minimal without minimizing, in O(N log N) for N states.
+DFAs are int successor arrays; minimize_dfa is the general Moore minimizer,
+and is_nerode_automaton certifies the language's minimal DFA in O(n**2).
 """
 
 from __future__ import annotations
@@ -399,22 +398,33 @@ def _reachable(successors: np.ndarray, start: int) -> np.ndarray:
     return ~unseen
 
 
-def meets_permutation_criterion(dfa: DfaSpec) -> bool:
-    """True when every letter permutes the states, all are reachable and one accepts.
+def is_nerode_automaton(dfa: DfaSpec, n: int) -> bool:
+    """True exactly when dfa is L_n's Nerode automaton up to state indices.
 
-    Such a DFA is minimal (Myhill-Nerode).  The letters generate a group,
-    so the reachable start reaches every state back and forth: for states
-    p != q, some word w takes p to the accepting state, and w, acting as
-    a bijection, takes q elsewhere, so no two states are equivalent.  The
-    product counter build_dfa(n) meets the criterion, so it certifies the
-    n * n states in O(N log N) for N states.  False does not mean the DFA
-    is not minimal, only that this certificate does not apply.
+    S[i, j] is the state b^j a^i reaches from the start: n steps on 'b',
+    then one gather on 'a' per row, contiguous on the product counter.
+    dfa must have n * n states, 'a' must send S[i, j] to S[i + 1, j] and
+    'b' to S[i, j + 1] (mod n), and S[i, j] must accept exactly when
+    counts_in_language(i, j, n).  Then a word with counts (i, j) mod n
+    ends in S[i, j], so dfa recognizes L_n.  The suffix a^(n - i) b^(n - j)
+    leads from S[i, j] to the accepting S[0, 0] and from S[i', j'] to the
+    rejecting S[i' - i, j' - j], for (i', j') != (i, j): so S is a bijection
+    onto the n * n states, and no DFA of L_n has fewer.  O(n**2).
     """
-    size = dfa.successors.shape[1]
-    return (
-        np.count_nonzero(dfa.accept_mask) == 1
-        and all((np.bincount(row, minlength=size) == 1).all() for row in dfa.successors)
-        and bool(_reachable(dfa.successors, dfa.start_index).all())
+    succ_a, succ_b = dfa.successors
+    if succ_a.size != n * n:
+        return False
+    grid = np.empty((n, n), dtype=np.intp)  # S
+    grid[0, 0] = dfa.start_index
+    for j in range(1, n):
+        grid[0, j] = succ_b.item(grid.item(0, j - 1))
+    for i in range(1, n):
+        grid[i] = succ_a[grid[i - 1]]
+    counts = np.arange(n)
+    return bool(
+        (succ_a[grid] == np.roll(grid, -1, axis=0)).all()
+        and (succ_b[grid] == np.roll(grid, -1, axis=1)).all()
+        and (dfa.accept_mask[grid] == counts_in_language(counts[:, None], counts, n)).all()
     )
 
 

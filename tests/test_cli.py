@@ -544,9 +544,50 @@ def _unreachable_state(dfa):
     return DfaSpec.from_arrays(dfa.states + ("island",), successors, accept_mask, dfa.start_index)
 
 
+def _wrong_accepting_state(dfa):
+    # a0b1 accepts in place of a0b0: the letters still permute, every
+    # state is reachable and one accepts, but the language is #b = 1.
+    accept_mask = np.zeros_like(dfa.accept_mask)
+    accept_mask[dfa.states.index("a0b1")] = True
+    return DfaSpec.from_arrays(dfa.states, dfa.successors, accept_mask, dfa.start_index)
+
+
+def _swapped_transitions(dfa):
+    # a0b0 and a0b1 exchange their a-successors; the letters still permute.
+    successors = dfa.successors.copy()
+    swap = [dfa.states.index("a0b0"), dfa.states.index("a0b1")]
+    successors[0, swap] = successors[0, swap[::-1]]
+    return DfaSpec.from_arrays(dfa.states, successors, dfa.accept_mask, dfa.start_index)
+
+
+def _moved_start(dfa):
+    start = dfa.states.index("a1b0")
+    return DfaSpec.from_arrays(dfa.states, dfa.successors, dfa.accept_mask, start)
+
+
+def _duplicated_state(dfa):
+    # A copy of a0b0, which a4b0 now enters on a: the language is L_n, but
+    # with n * n + 1 states.
+    copy = len(dfa.states)
+    successors = np.column_stack((dfa.successors, dfa.successors[:, dfa.start_index]))
+    successors[0, dfa.states.index("a4b0")] = copy
+    accept_mask = np.append(dfa.accept_mask, True)
+    return DfaSpec.from_arrays(dfa.states + ("a0b0'",), successors, accept_mask, dfa.start_index)
+
+
 def test_compare_exits_one_when_the_dfa_is_not_minimal(capsys, monkeypatch):
-    # Each mutant breaks one condition of the permutation criterion.
-    for mutate in (_not_a_permutation, _two_accepting, _unreachable_state):
+    # Each mutant is something other than L_n's minimal DFA: a DFA of
+    # another language, or one with a state too many.
+    mutants = (
+        _not_a_permutation,
+        _two_accepting,
+        _unreachable_state,
+        _wrong_accepting_state,
+        _swapped_transitions,
+        _moved_start,
+        _duplicated_state,
+    )
+    for mutate in mutants:
         monkeypatch.setattr(cli, "build_dfa", lambda n, mutate=mutate: mutate(build_dfa(n)))
         code, out, _ = run_cli(capsys, ["compare", "--n", "5", "--json"])
         assert code == 1, mutate.__name__

@@ -23,7 +23,7 @@ from qfakit.divisibility import (
     counts_in_language,
     exact_accept_probability,
     is_member,
-    meets_permutation_criterion,
+    is_nerode_automaton,
     minimize_dfa,
     word_stats,
 )
@@ -341,14 +341,13 @@ def test_minimize_matches_pair_closure_reference_on_shuffled_names():
 @given(data=st.data(), size=st.integers(1, 12))
 def test_minimize_keeps_every_state_of_a_permutation_dfa(data, size):
     # One accepting state, letters that permute, every state reachable:
-    # the criterion certifies the DFA minimal, so nothing may merge.
+    # such a DFA is minimal, so nothing may merge.
     names = data.draw(st.permutations([f"q{i}" for i in range(size)]))
     perms = [data.draw(st.permutations(range(size))) for _ in ALPHABET]
     successors = np.array(perms)
     accepting = np.arange(size) == data.draw(st.integers(0, size - 1))
     dfa = DfaSpec.from_arrays(names, successors, accepting, 0)
     assume(len(reachable_from(dfa, dfa.start)) == size)
-    assert meets_permutation_criterion(dfa)
     assert minimize_dfa(dfa) == dfa
 
 
@@ -426,8 +425,50 @@ def test_rerank_matches_unique_inverse():
 @pytest.mark.parametrize("n", [*range(1, 26, 2), 101])
 def test_permutation_criterion_agrees_with_minimizer(n):
     dfa = build_dfa(n)
-    assert meets_permutation_criterion(dfa)
+    assert is_nerode_automaton(dfa, n)
     assert len(minimize_dfa(dfa).states) == n * n
+
+
+def single_edits(dfa):
+    # Every DFA that differs from dfa in one successor, in one accept bit
+    # or in the start index.
+    size = dfa.successors.shape[1]
+    for letter, state, target in product(range(len(ALPHABET)), range(size), range(size)):
+        if target != dfa.successors[letter, state]:
+            successors = dfa.successors.copy()
+            successors[letter, state] = target
+            yield DfaSpec.from_arrays(dfa.states, successors, dfa.accept_mask, dfa.start_index)
+    for state in range(size):
+        accept_mask = dfa.accept_mask.copy()
+        accept_mask[state] = not accept_mask[state]
+        yield DfaSpec.from_arrays(dfa.states, dfa.successors, accept_mask, dfa.start_index)
+    for start in range(size):
+        if start != dfa.start_index:
+            yield DfaSpec.from_arrays(dfa.states, dfa.successors, dfa.accept_mask, start)
+
+
+@pytest.mark.parametrize(("n", "count"), [(3, 161), (5, 1249)])
+def test_nerode_check_refuses_every_single_edit(n, count):
+    # Checking only that each letter permutes the states, that all are
+    # reachable and that one accepts passes the moved starts: 8 and 24.
+    edits = list(single_edits(build_dfa(n)))
+    assert len(edits) == count
+    assert [dfa for dfa in edits if is_nerode_automaton(dfa, n)] == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 15), m=st.integers(1, 15))
+def test_nerode_check_accepts_relabelings_and_no_other_modulus(data, n, m):
+    dfa = build_dfa(n)
+    relabel = np.array(data.draw(st.permutations(range(n * n))))
+    successors = np.empty_like(dfa.successors)
+    successors[:, relabel] = relabel[dfa.successors]
+    accept_mask = np.empty_like(dfa.accept_mask)
+    accept_mask[relabel] = dfa.accept_mask
+    names = tuple(f"q{k}" for k in range(n * n))
+    moved = DfaSpec.from_arrays(names, successors, accept_mask, relabel[dfa.start_index])
+    assert is_nerode_automaton(moved, n)
+    assert is_nerode_automaton(build_dfa(m), n) == (m == n)
 
 
 def test_dfa_spec_is_array_backed_and_immutable():
