@@ -32,7 +32,6 @@ from .circulant import (
     quadratic_power_rows,
 )
 from .divisibility import (
-    ALPHABET,
     build_dfa,
     build_diagonal_qfa,
     build_qfa as build_dense_qfa,
@@ -116,15 +115,15 @@ def _judge(
 def _draw_samples(
     rng: random.Random, samples: int, low: int, high: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """samples random words with lengths in low..high: codes, shuffled codes, lengths, b-counts.
+    """samples random words with lengths in low..high: codes, shuffled codes, lengths, 1-counts.
 
     Each sample reads 1 + high consecutive 32-bit outputs of
     rng.getrandbits.  Output 0 picks the length, low + (output * (high -
-    low + 1) >> 32); output i gives letter i, ALPHABET[output >> 31], and
-    its shuffle key, the low 31 bits.  The shuffled copy spells the
-    word's letters in stable order of their keys.  Row i of the two
-    (samples, high) uint8 matrices holds sample i's codes, indices into
-    ALPHABET, in its first lengths[i] entries.
+    low + 1) >> 32); output i gives code i, output >> 31, and its
+    shuffle key, the low 31 bits.  The shuffled copy spells the word's
+    codes in stable order of their keys.  Row i of the two (samples,
+    high) uint8 matrices holds sample i's codes, indices into the
+    scanned machine's two letters, in its first lengths[i] entries.
     """
     words = np.empty((samples, high), dtype=np.uint8)
     shuffled = np.empty_like(words)
@@ -162,10 +161,12 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     samples further words with lengths in (max_len, RANDOM_MAX_LEN] are
     drawn from random.Random(seed) as letter codes and simulated as one
     batch by qfa._run_codes, each word's row next to its shuffled copy's.
-    Members must accept with probability 1, non-members with at most
-    1/p_min, both within 1e-9.  Each sampled word is also re-run
-    under one random permutation of its letters, which must not change
-    the probability by more than 1e-12.
+    Code k is the k-th input letter of build_machine(n), which must have
+    two letters, or ValueError is raised.  Members, whose count of code 1
+    and of the rest are divisible by n, must accept with probability 1,
+    non-members with at most 1/p_min, both within 1e-9.  Each sampled
+    word is also re-run under one random permutation of its letters,
+    which must not change the probability by more than 1e-12.
 
     _draw_samples reads the samples in bulk; a seed gives other words
     than the letter-by-letter draw it replaced, but the same report
@@ -173,13 +174,17 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
 
     The verdicts are taken over arrays, one length at a time and then
     the sampled batch.  Word i of length L spells i in binary, so the
-    b-counts of one length follow from those of the length before
+    1-counts of one length follow from those of the length before
     (children 2i and 2i + 1), and a word is spelled out only when it is
     a counterexample.  Counterexamples come in scan order; a sampled
     word's bound violation comes before its shuffle variance.
     """
     spec = build_machine(n)
-    bound = 1.0 / factorize(n).p_min
+    alphabet = spec.input_alphabet
+    if len(alphabet) != 2:
+        raise ValueError(f"scan needs a machine over two letters, not {alphabet}")
+    p_min = factorize(n).p_min
+    bound = 1.0 / p_min
     started = time.perf_counter()
     levels = accept_all_words(spec, max_len)
     high = max(RANDOM_MAX_LEN, max_len + 1)
@@ -201,14 +206,14 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
         member = counts_in_language(length, count_b, n)
         wrong, lowest, highest = _judge(member, p, bound, lowest, highest)
         for i in np.flatnonzero(wrong).tolist():
-            counterexamples.append(_bound_violation(member[i], _spell(ALPHABET, length, i), p[i]))
+            counterexamples.append(_bound_violation(member[i], _spell(alphabet, length, i), p[i]))
 
     p = outcomes[0::2, 0]
     delta = np.abs(p - outcomes[1::2, 0])
     member = counts_in_language(lengths - sampled_b, sampled_b, n)
     wrong, lowest, highest = _judge(member, p, bound, lowest, highest)
     for i in np.flatnonzero(wrong | (delta > SHUFFLE_TOL)).tolist():
-        word = "".join(ALPHABET[k] for k in words[i, : lengths[i]].tolist())
+        word = "".join(alphabet[k] for k in words[i, : lengths[i]].tolist())
         if wrong[i]:
             counterexamples.append(_bound_violation(member[i], word, p[i]))
         if delta[i] > SHUFFLE_TOL:
@@ -218,7 +223,7 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
 
     return {
         "n": n,
-        "p_min": factorize(n).p_min,
+        "p_min": p_min,
         "bound": fmt12(bound),
         "max_len": max_len,
         "samples": samples,
@@ -244,8 +249,9 @@ def lemma_report(n: int) -> dict:
     identity).  The first entry of every power obeys |x0|^2 = 1 at s = n
     and |x0|^2 <= 1/p_min before that.  The power-law verdict is
     reported under prime_power_law_ok or composite_power_law_ok, by
-    the kind of n; the other key is None.  That verdict also holds the
-    first power to A itself: its c must be 1/sqrt(n).
+    the kind of n; the other key is None.  That verdict also holds each
+    |c|^2, read as |x0|^2, to l / n, and the first power to A itself:
+    its c must be 1/sqrt(n).
 
     The powers come from quadratic_power_rows in blocks, each classified
     as one array, so the cost is O(n**2 log n) and memory O(n).  Raises
@@ -272,6 +278,7 @@ def lemma_report(n: int) -> dict:
             l = math.gcd(s, n)
             law = (l, n // l, pow(s // l, -1, n // l))
             power_law_ok &= (row.get("l"), row.get("g"), row.get("k")) == law
+            power_law_ok &= abs(x0_sq - l / n) <= PROB_TOL
             if s == 1 and profile is not None:
                 # (1, n, 1) with c = 1/sqrt(n) spells out A's own first row.  A
                 # unit scalar on every power leaves each (l, g, k) and |x0| as

@@ -25,7 +25,7 @@ import numpy as np
 
 from .circulant import cyclic_shift_circulant, quadratic_phase_circulant, quadratic_power_spectra
 from .modular import unit_phases
-from .qfa import LEFT_MARKER, RIGHT_MARKER, DiagonalQfa, QfaSpec
+from .qfa import LEFT_MARKER, RIGHT_MARKER, DiagonalQfa, QfaSpec, _check_word
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -50,9 +50,7 @@ class WordStats:
 
 def word_stats(word: str) -> WordStats:
     """Letter counts of a word over {a, b}; other symbols are rejected."""
-    for ch in word:
-        if ch not in ALPHABET:
-            raise ValueError(f"symbol {ch!r} not in the input alphabet")
+    _check_word(ALPHABET, word)
     return WordStats(word.count("a"), word.count("b"))
 
 
@@ -79,6 +77,15 @@ def is_member(word: str, n: int) -> bool:
 def _require_odd(n: int) -> None:
     if n <= 2 or n % 2 == 0:
         raise ValueError(f"expected odd n > 2, got {n}")
+
+
+def _require_buildable(n: int) -> None:
+    _require_odd(n)
+    if n > DENSE_MAX_N:
+        raise ValueError(
+            f"n = {n} exceeds DENSE_MAX_N = {DENSE_MAX_N}, the largest n the"
+            " quantum recognizer is built for"
+        )
 
 
 def exact_accept_probability(n: int, count_a: int, count_b: int) -> Fraction:
@@ -120,14 +127,10 @@ def build_qfa(n: int) -> QfaSpec:
     channels plus a completion on the halting block, giving 2n + 1
     realized basis states.  The extra channels only split where rejected
     amplitude lands, so no outcome probability changes.  Raises
-    ValueError above DENSE_MAX_N, before allocating the dense unitaries.
+    ValueError for an even n, n < 3 or n > DENSE_MAX_N, before
+    allocating the dense unitaries.
     """
-    _require_odd(n)
-    if n > DENSE_MAX_N:
-        raise ValueError(
-            f"n = {n} exceeds DENSE_MAX_N = {DENSE_MAX_N}: the four dense"
-            f" unitaries would need {64 * (2 * n + 1) ** 2 / 1e9:.1f} GB"
-        )
+    _require_buildable(n)
     counters = tuple(f"q{i}" for i in range(n))
     channels = tuple(f"rej{i}" for i in range(1, n))
     states = counters + ("acc", "rej") + channels
@@ -164,14 +167,9 @@ def build_diagonal_qfa(n: int) -> DiagonalQfa:
     quadratic_power_spectra, 'b' (the shift) exp(-2*pi*i * m / n).  Counter
     0 accepts at the right marker and every other counter rejects; the
     state counts are build_qfa's, n + 2 and 2n + 1.  Raises ValueError
-    above DENSE_MAX_N, as build_qfa does.
+    where build_qfa does: both check n by _require_buildable.
     """
-    _require_odd(n)
-    if n > DENSE_MAX_N:
-        raise ValueError(
-            f"n = {n} exceeds DENSE_MAX_N = {DENSE_MAX_N}, the largest n the"
-            " quantum recognizer is built for"
-        )
+    _require_buildable(n)
     return DiagonalQfa(
         input_alphabet=ALPHABET,
         spectra={"a": quadratic_power_spectra(n, [1])[0], "b": unit_phases(-np.arange(n), n)},
@@ -318,9 +316,6 @@ class DfaSpec:
 
     @cached_property
     def delta(self) -> dict[str, dict[str, str]]:
-        return self._named_moves()
-
-    def _named_moves(self) -> dict[str, dict[str, str]]:
         names = self.states
         targets = zip(*([names[t] for t in row] for row in self.successors.tolist()))
         return {s: dict(zip(ALPHABET, moves)) for s, moves in zip(names, targets)}
@@ -330,7 +325,7 @@ class DfaSpec:
             "states": list(self.states),
             "start": self.start,
             "accept": sorted(self.accepting),
-            "delta": self._named_moves(),
+            "delta": self.delta,
         }
 
     @classmethod
@@ -481,13 +476,10 @@ def minimize_dfa(dfa: DfaSpec) -> DfaSpec:
         for nxt in succ:
             block = _rerank(block * size + block[nxt])
 
-    # Number the classes by their first member; block ids are sorted.
+    # Number the classes by their first member.
     _, first = np.unique(block, return_index=True)
-    order = np.argsort(first)
-    rank = np.empty(count, dtype=np.intp)
-    rank[order] = np.arange(count)
-    cls = rank[block]
-    heads = first[order]
+    cls = _rerank(first[block])
+    heads = np.sort(first)
     states = dfa.states
     names = [states[i] for i in kept.tolist()]
     smallest = [names[h] for h in heads.tolist()]

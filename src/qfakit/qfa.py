@@ -371,8 +371,8 @@ def initial_superposition(spec: QfaSpec) -> np.ndarray:
 Machine = QfaSpec | DiagonalQfa
 
 
-def _check_word(spec: Machine, text: str) -> None:
-    allowed = set(spec.input_alphabet)
+def _check_word(alphabet: tuple[str, ...], text: str) -> None:
+    allowed = set(alphabet)
     if not allowed.issuperset(text):
         ch = next(ch for ch in text if ch not in allowed)
         raise ValueError(f"symbol {ch!r} not in the input alphabet")
@@ -407,7 +407,7 @@ def run(spec: Machine, word: str) -> RunResult:
     runs are bit-identical.  Raises ValueError when the outcomes do not
     sum to 1 within CONSERVATION_TOL.
     """
-    _check_word(spec, word)
+    _check_word(spec.input_alphabet, word)
     index = {sym: k for k, sym in enumerate(spec.input_alphabet)}
     psi = spec._start()
     for symbol in word:
@@ -460,7 +460,7 @@ def run_many(spec: Machine, words: Iterable[str]) -> list[RunResult]:
     word whose outcomes do not sum to 1 within CONSERVATION_TOL.
     """
     words = list(words)
-    _check_word(spec, joined := "".join(words))
+    _check_word(spec.input_alphabet, joined := "".join(words))
     lengths = np.fromiter(map(len, words), np.intp, len(words))
     # The joined words' codes fill the row-major positions t < length.
     index = {ord(sym): k for k, sym in enumerate(spec.input_alphabet)}

@@ -106,6 +106,17 @@ def test_order_mismatch_rejected():
         a @ b
 
 
+def test_product_with_a_non_circulant_is_a_type_error():
+    with pytest.raises(TypeError):
+        ShiftMatrix.identity(3) @ 3
+
+
+@pytest.mark.parametrize("build", [quadratic_phase_circulant, cyclic_shift_circulant])
+def test_letter_circulants_refuse_order_zero(build):
+    with pytest.raises(ValueError, match="order must be positive, got 0"):
+        build(0)
+
+
 def test_conj_transpose_example():
     a = ShiftMatrix(3, (0j, 1 + 0j, 0j))
     assert conj_transpose(a.first_row).tolist() == [0j, 0j, 1 + 0j]

@@ -13,10 +13,11 @@ from qfakit.circulant import (
     ShiftMatrix,
     classify_special,
     quadratic_phase_circulant,
+    quadratic_power_rows,
     quadratic_power_spectra,
 )
 from qfakit.modular import unit_phases
-from qfakit.qfa import DiagonalQfa, QfaSpec, accept_probability, validate
+from qfakit.qfa import DiagonalQfa, QfaSpec, accept_probability, run, validate
 from oracles import dfa_accepts, is_unitary, iter_powers, sampled_word
 
 
@@ -168,7 +169,7 @@ def test_scan_reports_real_counterexamples_in_scan_order(capsys, monkeypatch):
 
 
 def _spelled(codes, lengths):
-    return ["".join(cli.ALPHABET[k] for k in row[:length]) for row, length in zip(codes, lengths)]
+    return ["".join(divisibility.ALPHABET[k] for k in row[:length]) for row, length in zip(codes, lengths)]
 
 
 @pytest.mark.parametrize("block", [1, 3, cli.DRAW_BLOCK])
@@ -216,6 +217,39 @@ def test_scan_counts_b_past_the_uint16_range(monkeypatch):
     assert report["counterexamples"] == []
     assert report["words_scanned"] == 15 + 4
     assert report["min_member_prob"] == "1.000000000000"  # the empty word
+
+
+def _identity_b_first(n):
+    # A mutant over ("b", "a") whose b is the identity: "b" and "bb" read 1,
+    # though neither is a member.
+    spectra = {"b": np.ones(n), "a": quadratic_power_spectra(n, [1])[0]}
+    return DiagonalQfa(input_alphabet=("b", "a"), spectra=spectra)
+
+
+def test_scan_spells_counterexamples_in_the_machines_letters(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_machine", _identity_b_first)
+    machine = _identity_b_first(3)
+    report = cli.scan_report(3, 2, 3, 0)
+    named = [item["word"] for item in report["counterexamples"]]
+    assert {"b", "bb"} <= set(named)
+    for word in named:
+        assert run(machine, word).p_accept > 1 / 3 + cli.PROB_TOL, word
+    code, out, _ = run_cli(capsys, ["scan", "--n", "3", "--max-len", "2", "--samples", "3"])
+    assert code == 1
+    assert "  nonmember_bound: 'b' p_accept=1.000000000000" in out
+    assert "  nonmember_bound: 'bb' p_accept=1.000000000000" in out
+
+
+def test_scan_refuses_a_machine_not_over_two_letters(capsys, monkeypatch):
+    def three_letters(n):
+        spectra = {"a": quadratic_power_spectra(n, [1])[0], "b": np.ones(n), "c": np.ones(n)}
+        return DiagonalQfa(input_alphabet=("a", "b", "c"), spectra=spectra)
+
+    monkeypatch.setattr(cli, "build_machine", three_letters)
+    code, out, err = run_cli(capsys, ["scan", "--n", "3", "--max-len", "2", "--samples", "3"])
+    assert code == 2
+    assert out == ""
+    assert "('a', 'b', 'c')" in err
 
 
 def test_scan_caps_max_len_before_scanning(capsys, monkeypatch):
@@ -469,6 +503,39 @@ def test_lemmas_flag_a_mutant_spectrum(monkeypatch, n):
         report = cli.lemma_report(n)
         assert report[key] is False, (wrong_eps, wrong_quarter)
         assert report["first_entry_bound_ok"] is True
+
+
+def _halved_powers(n):
+    # The powers 2 <= s < n at half their size: each keeps its sparse
+    # form (l, g, k), and its first entry stays below 1/p_min.
+    for first, block in quadratic_power_rows(n):
+        s = np.arange(first, first + len(block))[:, None]
+        yield first, np.where((2 <= s) & (s < n), block / 2, block)
+
+
+@pytest.mark.parametrize("n", [15, 105])
+def test_lemmas_flag_powers_of_the_wrong_size(capsys, monkeypatch, n):
+    monkeypatch.setattr(cli, "quadratic_power_rows", _halved_powers)
+    report = cli.lemma_report(n)
+    assert all(row["is_special"] for row in report["rows"])
+    assert report["composite_power_law_ok"] is False
+    assert report["first_entry_bound_ok"] is True
+    code, _, _ = run_cli(capsys, ["lemmas", "--n", str(n)])
+    assert code == 1
+
+
+def test_lemmas_human_table_names_a_power_not_sparse(capsys, monkeypatch):
+    def shift_for_the_square(n):
+        # The second power replaced by the cyclic shift, which is not sparse.
+        ((first, block),) = quadratic_power_rows(n)  # one block at n = 5
+        block[1] = np.roll(np.eye(n)[0], 1)  # row 1 is A**2
+        yield first, block
+
+    monkeypatch.setattr(cli, "quadratic_power_rows", shift_for_the_square)
+    code, out, _ = run_cli(capsys, ["lemmas", "--n", "5"])
+    assert code == 1
+    assert "   2  not of the sparse quadratic-phase form" in out
+    assert "power law ok: False" in out
 
 
 def test_lemmas_human_table(capsys):
