@@ -37,7 +37,6 @@ from .divisibility import (
     build_qfa as build_dense_qfa,
     counts_in_language,
     is_nerode_automaton,
-    word_stats,
 )
 from .modular import factorize
 from .qfa import _spell, accept_all_words, run
@@ -67,7 +66,7 @@ SCAN_MAX_SAMPLES = 50000
 # DFT basis an exhaustive word costs one letter, one copy of its parent's
 # row and the two sums that close it, each O(n) (0.5 us at n = 3, 2.6 us at
 # n = 101 and 23 us at n = 1001 on a 2-vCPU VM).  The cap admits every run
-# that the former dense (2n + 1)**2 charges admitted, and at n = 1001 up to
+# that a dense charge, (2n + 1)**2 per word, admits, and at n = 1001 up to
 # L = 13 (0.5 s, 62 MB peak RSS) or 8379 samples (1.4 s, 41 MB); n = 101,
 # L = 15 with 50000 samples takes 1.3 s (fresh processes).
 SCAN_MAX_WORK = 2**24
@@ -153,6 +152,17 @@ def _bound_violation(member: bool, word: str, p: float) -> dict:
     return {"kind": kind, "word": word, "p_accept": fmt12(p)}
 
 
+def _two_letter_machine(n: int) -> tuple[qfa.Machine, int]:
+    """build_machine(n) and n's p_min; run and scan read words in its two letters.
+
+    Raises ValueError, naming the letters, for a machine not over two.
+    """
+    spec = build_machine(n)
+    if len(spec.input_alphabet) != 2:
+        raise ValueError(f"need a machine over two letters, not {spec.input_alphabet}")
+    return spec, factorize(n).p_min
+
+
 def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     """Sweep words and compare acceptance probabilities to the bounds.
 
@@ -161,16 +171,12 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     samples further words with lengths in (max_len, RANDOM_MAX_LEN] are
     drawn from random.Random(seed) as letter codes and simulated as one
     batch by qfa._run_codes, each word's row next to its shuffled copy's.
-    Code k is the k-th input letter of build_machine(n), which must have
-    two letters, or ValueError is raised.  Members, whose count of code 1
-    and of the rest are divisible by n, must accept with probability 1,
-    non-members with at most 1/p_min, both within 1e-9.  Each sampled
-    word is also re-run under one random permutation of its letters,
-    which must not change the probability by more than 1e-12.
-
-    _draw_samples reads the samples in bulk; a seed gives other words
-    than the letter-by-letter draw it replaced, but the same report
-    wherever no sampled word sets an extreme or is named.
+    The machine and its codes come from _two_letter_machine.  Members,
+    whose count of code 1 and of the rest are divisible by n, must accept
+    with probability 1, non-members with at most 1/p_min, both within
+    1e-9.  Each sampled word is also re-run under one random permutation
+    of its letters, which must not change the probability by more than
+    1e-12.
 
     The verdicts are taken over arrays, one length at a time and then
     the sampled batch.  Word i of length L spells i in binary, so the
@@ -179,11 +185,8 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     a counterexample.  Counterexamples come in scan order; a sampled
     word's bound violation comes before its shuffle variance.
     """
-    spec = build_machine(n)
+    spec, p_min = _two_letter_machine(n)
     alphabet = spec.input_alphabet
-    if len(alphabet) != 2:
-        raise ValueError(f"scan needs a machine over two letters, not {alphabet}")
-    p_min = factorize(n).p_min
     bound = 1.0 / p_min
     started = time.perf_counter()
     levels = accept_all_words(spec, max_len)
@@ -324,27 +327,29 @@ def compare_report(n: int) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    stats = word_stats(args.word)
-    spec = build_machine(args.n)
+    """Run one word; count_b counts the machine's second letter, count_a the rest."""
+    spec, p_min = _two_letter_machine(args.n)
     result = run(spec, args.word)
-    member = counts_in_language(stats.count_a, stats.count_b, args.n)
-    bound = 1.0 / factorize(args.n).p_min
+    first, second = spec.input_alphabet
+    count_b = args.word.count(second)
+    count_a = len(args.word) - count_b
+    member = counts_in_language(count_a, count_b, args.n)
     payload = {
         "n": args.n,
         "word": args.word,
-        "count_a": stats.count_a,
-        "count_b": stats.count_b,
+        "count_a": count_a,
+        "count_b": count_b,
         "member": member,
         "p_accept": fmt12(result.p_accept),
         "p_reject": fmt12(result.p_reject),
         "p_residual": fmt12(result.p_residual),
-        "nonmember_accept_bound": fmt12(bound),
+        "nonmember_accept_bound": fmt12(1.0 / p_min),
     }
     if args.json:
         print(_dumps(payload))
     else:
         print(f"n: {args.n}")
-        print(f"word: {args.word!r} (a={stats.count_a}, b={stats.count_b})")
+        print(f"word: {args.word!r} ({first}={count_a}, {second}={count_b})")
         print(f"member (both counts divisible by {args.n}): {'yes' if member else 'no'}")
         print(f"p_accept:   {payload['p_accept']}")
         print(f"p_reject:   {payload['p_reject']}")
@@ -471,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one word through the quantum recognizer")
     _add_n_flag(p)
-    p.add_argument("--word", required=True, help="word over the letters a and b")
+    p.add_argument("--word", required=True, help="word over the machine's two letters, a and b")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_run)
 

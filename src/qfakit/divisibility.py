@@ -49,7 +49,7 @@ class WordStats:
 
 
 def word_stats(word: str) -> WordStats:
-    """Letter counts of a word over {a, b}; other symbols are rejected."""
+    """Letter counts of a word over the language's letters a and b; others are rejected."""
     _check_word(ALPHABET, word)
     return WordStats(word.count("a"), word.count("b"))
 
@@ -69,7 +69,7 @@ def counts_in_language(
 
 
 def is_member(word: str, n: int) -> bool:
-    """True when both letter counts of word are divisible by n."""
+    """True when word, over the language's letters a and b, has both counts divisible by n."""
     stats = word_stats(word)
     return counts_in_language(stats.count_a, stats.count_b, n)
 

@@ -205,14 +205,16 @@ def test_scan_draw_properties():
     assert set(fixed[2].tolist()) == {7}
 
 
+def _paper_machine(n, letters=divisibility.ALPHABET):
+    # build_diagonal_qfa(n) spelled in letters, with no cap on n.
+    spectra = [quadratic_power_spectra(n, [1])[0], unit_phases(-np.arange(n), n)]
+    return DiagonalQfa(input_alphabet=letters, spectra=dict(zip(letters, spectra)))
+
+
 def test_scan_counts_b_past_the_uint16_range(monkeypatch):
     # n = 65537 is prime, so a member needs 65537 letters and none of the
     # words scanned here is one; a b-count mod n in uint16 would overflow.
-    def machine(n):
-        spectra = {"a": quadratic_power_spectra(n, [1])[0], "b": unit_phases(-np.arange(n), n)}
-        return DiagonalQfa(input_alphabet=divisibility.ALPHABET, spectra=spectra)
-
-    monkeypatch.setattr(cli, "build_machine", machine)
+    monkeypatch.setattr(cli, "build_machine", _paper_machine)
     report = cli.scan_report(65537, 3, 4, seed=0)
     assert report["counterexamples"] == []
     assert report["words_scanned"] == 15 + 4
@@ -240,16 +242,54 @@ def test_scan_spells_counterexamples_in_the_machines_letters(capsys, monkeypatch
     assert "  nonmember_bound: 'bb' p_accept=1.000000000000" in out
 
 
-def test_scan_refuses_a_machine_not_over_two_letters(capsys, monkeypatch):
-    def three_letters(n):
-        spectra = {"a": quadratic_power_spectra(n, [1])[0], "b": np.ones(n), "c": np.ones(n)}
-        return DiagonalQfa(input_alphabet=("a", "b", "c"), spectra=spectra)
+def _three_letters(n):
+    spectra = {"a": quadratic_power_spectra(n, [1])[0], "b": np.ones(n), "c": np.ones(n)}
+    return DiagonalQfa(input_alphabet=("a", "b", "c"), spectra=spectra)
 
-    monkeypatch.setattr(cli, "build_machine", three_letters)
+
+def test_scan_refuses_a_machine_not_over_two_letters(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_machine", _three_letters)
     code, out, err = run_cli(capsys, ["scan", "--n", "3", "--max-len", "2", "--samples", "3"])
     assert code == 2
     assert out == ""
     assert "('a', 'b', 'c')" in err
+
+
+def test_run_reads_the_word_in_the_machines_letters(capsys, monkeypatch):
+    def over_xy(n):
+        return _paper_machine(n, ("x", "y"))
+
+    monkeypatch.setattr(cli, "build_machine", over_xy)
+    code, out, _ = run_cli(capsys, ["run", "--n", "3", "--word", "xyy", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["count_a"], payload["count_b"], payload["member"]) == (1, 2, False)
+    assert payload["p_accept"] == cli.fmt12(run(over_xy(3), "xyy").p_accept)
+    code, out, _ = run_cli(capsys, ["run", "--n", "3", "--word", "xyy"])
+    assert code == 0
+    assert "word: 'xyy' (x=1, y=2)" in out
+
+
+def test_run_counts_the_machines_second_letter_as_b(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_machine", _identity_b_first)
+    code, out, _ = run_cli(capsys, ["run", "--n", "3", "--word", "b", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["count_a"], payload["count_b"]) == (1, 0)
+
+
+def test_run_refuses_a_machine_not_over_two_letters(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_machine", _three_letters)
+    code, out, err = run_cli(capsys, ["run", "--n", "3", "--word", "ab"])
+    assert code == 2
+    assert out == ""
+    assert "('a', 'b', 'c')" in err
+
+
+def test_run_judges_n_before_the_word(capsys):
+    code, out, err = run_cli(capsys, ["run", "--n", "4", "--word", "abc"])
+    assert code == 2 and out == ""
+    assert "odd n > 2" in err
 
 
 def test_scan_caps_max_len_before_scanning(capsys, monkeypatch):
