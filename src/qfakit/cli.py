@@ -58,8 +58,8 @@ EXPORT_MAX_N = 101
 # further length doubles the time and the memory.
 SCAN_MAX_LEN = 20
 # scan holds the codes of every sampled word and shuffled copy and both results
-# before judging them: 20000 samples take about 0.3 s and 37 MB peak RSS at
-# n = 3, 50000 about 0.6 s and 45 MB (fresh processes); both grow linearly.
+# before judging them: 20000 samples take about 0.3 s and 35 MB peak RSS at
+# n = 3, 50000 about 0.4 s and 41 MB (fresh processes); both grow linearly.
 SCAN_MAX_SAMPLES = 50000
 # scan simulates 2**(L + 1) - 1 exhaustive words and 2 * samples sampled
 # ones (each sample and its shuffled copy) and is charged n per word: in the
@@ -67,7 +67,7 @@ SCAN_MAX_SAMPLES = 50000
 # row and the two sums that close it, each O(n) (0.5 us at n = 3, 2.6 us at
 # n = 101 and 23 us at n = 1001 on a 2-vCPU VM).  The cap admits every run
 # that a dense charge, (2n + 1)**2 per word, admits, and at n = 1001 up to
-# L = 13 (0.5 s, 62 MB peak RSS) or 8379 samples (1.4 s, 41 MB); n = 101,
+# L = 13 (0.5 s, 62 MB peak RSS) or 8379 samples (1.4 s, 40 MB); n = 101,
 # L = 15 with 50000 samples takes 1.3 s (fresh processes).
 SCAN_MAX_WORK = 2**24
 # The largest n lemmas admits.  lemma_report streams the powers in blocks
@@ -113,19 +113,18 @@ def _judge(
 
 def _draw_samples(
     rng: random.Random, samples: int, low: int, high: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """samples random words with lengths in low..high: codes, shuffled codes, lengths, 1-counts.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """samples random words with lengths in low..high: the pair matrix, lengths, 1-counts.
 
     Each sample reads 1 + high consecutive 32-bit outputs of
     rng.getrandbits.  Output 0 picks the length, low + (output * (high -
     low + 1) >> 32); output i gives code i, output >> 31, and its
-    shuffle key, the low 31 bits.  The shuffled copy spells the word's
-    codes in stable order of their keys.  Row i of the two (samples,
-    high) uint8 matrices holds sample i's codes, indices into the
-    scanned machine's two letters, in its first lengths[i] entries.
+    shuffle key, the low 31 bits.  The draw writes the (2 * samples,
+    high) uint8 matrix that qfa._run_codes reads: row 2i holds sample
+    i's codes, indices into the scanned machine's two letters, in its
+    first lengths[i] entries; row 2i + 1 holds them in stable key order.
     """
-    words = np.empty((samples, high), dtype=np.uint8)
-    shuffled = np.empty_like(words)
+    pairs = np.empty((samples, 2, high), dtype=np.uint8)
     lengths, count_b = np.empty((2, samples), dtype=np.int64)
     shift = high.bit_length()
     for first in range(0, samples, DRAW_BLOCK):
@@ -142,9 +141,9 @@ def _draw_samples(
         keyed = np.where(used, out[:, 1:] & 0x7FFFFFFF, 2**31) << shift | np.arange(high)
         order = np.sort(keyed, axis=1) & (2**shift - 1)
         count_b[rows] = (bits & used).sum(axis=1)
-        words[rows] = bits
-        shuffled[rows] = np.take_along_axis(bits, order, axis=1)
-    return words, shuffled, lengths, count_b
+        pairs[rows, 0] = bits
+        pairs[rows, 1] = np.take_along_axis(bits, order, axis=1)
+    return pairs.reshape(-1, high), lengths, count_b
 
 
 def _bound_violation(member: bool, word: str, p: float) -> dict:
@@ -169,8 +168,8 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     Words up to max_len are enumerated exhaustively in length-then-
     lexicographic order, with each shared prefix simulated once;
     samples further words with lengths in (max_len, RANDOM_MAX_LEN] are
-    drawn from random.Random(seed) as letter codes and simulated as one
-    batch by qfa._run_codes, each word's row next to its shuffled copy's.
+    drawn from random.Random(seed) by _draw_samples into the pair matrix
+    that qfa._run_codes simulates as one batch.
     The machine and its codes come from _two_letter_machine.  Members,
     whose count of code 1 and of the rest are divisible by n, must accept
     with probability 1, non-members with at most 1/p_min, both within
@@ -192,8 +191,7 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     levels = accept_all_words(spec, max_len)
     high = max(RANDOM_MAX_LEN, max_len + 1)
     rng = random.Random(seed)
-    words, mixed, lengths, sampled_b = _draw_samples(rng, samples, max_len + 1, high)
-    pairs = np.stack((words, mixed), axis=1).reshape(-1, high)
+    pairs, lengths, sampled_b = _draw_samples(rng, samples, max_len + 1, high)
     outcomes = qfa._run_codes(spec, pairs, np.repeat(lengths, 2))
 
     counterexamples: list[dict] = []
@@ -216,7 +214,7 @@ def scan_report(n: int, max_len: int, samples: int, seed: int) -> dict:
     member = counts_in_language(lengths - sampled_b, sampled_b, n)
     wrong, lowest, highest = _judge(member, p, bound, lowest, highest)
     for i in np.flatnonzero(wrong | (delta > SHUFFLE_TOL)).tolist():
-        word = "".join(alphabet[k] for k in words[i, : lengths[i]].tolist())
+        word = "".join(alphabet[k] for k in pairs[2 * i, : lengths[i]].tolist())
         if wrong[i]:
             counterexamples.append(_bound_violation(member[i], word, p[i]))
         if delta[i] > SHUFFLE_TOL:

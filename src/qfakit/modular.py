@@ -54,11 +54,13 @@ def factorize(n: int) -> Factorization:
 def _roots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (exp(2*pi*i * k/n) for k < n, j = 0..n-1, j*j mod n).
 
-    A table costs 16 * n bytes and the index arrays 8 * n each; they
+    Entry k > n/2 is the conjugate of entry n - k, which rounds less.  A
+    table costs 16 * n bytes and the index arrays 8 * n each; they
     depend on n only, so the few most recent moduli are kept.
     """
     j = np.arange(n, dtype=np.int64)
-    arrays = (np.exp(2j * np.pi * j / n), j, j * j % n)
+    half = np.exp(2j * np.pi * j[: n // 2 + 1] / n)
+    arrays = (np.concatenate((half, half[1 : (n + 1) // 2][::-1].conj())), j, j * j % n)
     for array in arrays:
         array.flags.writeable = False
     return arrays

@@ -178,9 +178,9 @@ def test_scan_draw_reads_the_generator_as_the_plain_reading(monkeypatch, block):
     # getrandbits(32 * (1 + high)) call per sample reads them.
     monkeypatch.setattr(cli, "DRAW_BLOCK", block)
     for samples, low, high, seed in [(10, 5, 40, 0), (7, 1, 2, 9), (cli.DRAW_BLOCK + 5, 11, 40, 3)]:
-        codes, mixed, lengths, count_b = cli._draw_samples(random.Random(seed), samples, low, high)
-        assert codes.dtype == mixed.dtype == np.uint8 and codes.shape == (samples, high)
-        words, shuffled = _spelled(codes, lengths), _spelled(mixed, lengths)
+        pairs, lengths, count_b = cli._draw_samples(random.Random(seed), samples, low, high)
+        assert pairs.dtype == np.uint8 and pairs.shape == (2 * samples, high)
+        words, shuffled = _spelled(pairs[0::2], lengths), _spelled(pairs[1::2], lengths)
         rng = random.Random(seed)
         assert list(zip(words, shuffled)) == [sampled_word(rng, low, high) for _ in range(samples)]
         assert count_b.dtype == np.int64
@@ -188,21 +188,22 @@ def test_scan_draw_reads_the_generator_as_the_plain_reading(monkeypatch, block):
 
 
 def test_scan_draw_properties():
-    codes, mixed, lengths, count_b = cli._draw_samples(random.Random(5), 2000, 11, 40)
-    words, shuffled = _spelled(codes, lengths), _spelled(mixed, lengths)
+    pairs, lengths, count_b = cli._draw_samples(random.Random(5), 2000, 11, 40)
+    assert pairs.dtype == np.uint8 and pairs.shape == (4000, 40)
+    words, shuffled = _spelled(pairs[0::2], lengths), _spelled(pairs[1::2], lengths)
     assert lengths.tolist() == list(map(len, words))
     assert set(lengths.tolist()) == set(range(11, 41))
     assert all(sorted(w) == sorted(s) for w, s in zip(words, shuffled))
     assert sum(w != s for w, s in zip(words, shuffled)) > 1900
     assert count_b.tolist() == [w.count("b") for w in words]
     again = cli._draw_samples(random.Random(5), 2000, 11, 40)
-    assert all((x == y).all() for x, y in zip(again, (codes, mixed, lengths, count_b)))
+    assert all((x == y).all() for x, y in zip(again, (pairs, lengths, count_b)))
     other = cli._draw_samples(random.Random(6), 2000, 11, 40)
-    assert _spelled(other[0], other[2]) != words
+    assert _spelled(other[0][0::2], other[1]) != words
     empty = cli._draw_samples(random.Random(5), 0, 11, 40)
-    assert [a.shape for a in empty] == [(0, 40), (0, 40), (0,), (0,)]
+    assert [a.shape for a in empty] == [(0, 40), (0,), (0,)]
     fixed = cli._draw_samples(random.Random(5), 50, 7, 7)
-    assert set(fixed[2].tolist()) == {7}
+    assert set(fixed[1].tolist()) == {7}
 
 
 def _paper_machine(n, letters=divisibility.ALPHABET):

@@ -189,12 +189,15 @@ def test_bad_moduli_rejected():
 
 
 def test_unit_phases_bitwise_equal_to_direct_exp():
-    # the table lookup must give exactly the bits of one exp per phase
+    # the table lookup must give exactly the bits of one exp per phase up to
+    # n/2, and past it exactly the conjugate of the phase at n - r
     rng = np.random.default_rng(11)
     for n in [*range(1, 201), 4096, 10007, 65537]:
         x = rng.integers(-(2**62), 2**62, size=64, dtype=np.int64)
         x[:3] = (-1, 0, -(2**62))
-        direct = np.exp(2j * np.pi * (x % n) / n)
+        r = x % n
+        mirrored = np.conj(np.exp(2j * np.pi * ((n - r) % n) / n))
+        direct = np.where(2 * r <= n, np.exp(2j * np.pi * r / n), mirrored)
         table = unit_phases(x, n)
         assert np.array_equal(table.view(np.uint64), direct.view(np.uint64)), n
 
