@@ -53,22 +53,23 @@ SHUFFLE_TOL = 1e-12
 # whole n x n DFA as JSON, which grow as n**2 (`export --n 101` writes
 # 9 MB in 1.1-1.4 s).
 EXPORT_MAX_N = 101
-# scan keeps 8 bytes per exhaustive word, 2**L words at length L:
-# --max-len 18 takes about 0.5 s and --max-len 20 about 1.5 s, and every
-# further length doubles the time and the memory.
+# scan keeps 8 bytes per exhaustive word, 2**L words at length L: at
+# n = 3 --max-len 18 takes about 0.05 s and 38 MB peak RSS, --max-len 20
+# about 0.2 s and 57 MB, and every further length doubles the time and the
+# memory.  Times here are the report's elapsed, in fresh processes.
 SCAN_MAX_LEN = 20
 # scan holds the codes of every sampled word and shuffled copy and both results
-# before judging them: 20000 samples take about 0.3 s and 35 MB peak RSS at
-# n = 3, 50000 about 0.4 s and 41 MB (fresh processes); both grow linearly.
+# before judging them: 20000 samples take about 0.04 s and 36 MB peak RSS
+# at n = 3, 50000 about 0.1 s and 42 MB; both grow linearly.
 SCAN_MAX_SAMPLES = 50000
 # scan simulates 2**(L + 1) - 1 exhaustive words and 2 * samples sampled
 # ones (each sample and its shuffled copy) and is charged n per word: in the
-# DFT basis an exhaustive word costs one letter, one copy of its parent's
-# row and the two sums that close it, each O(n) (0.5 us at n = 3, 2.6 us at
-# n = 101 and 23 us at n = 1001 on a 2-vCPU VM).  The cap admits every run
-# that a dense charge, (2n + 1)**2 per word, admits, and at n = 1001 up to
-# L = 13 (0.5 s, 62 MB peak RSS) or 8379 samples (1.4 s, 40 MB); n = 101,
-# L = 15 with 50000 samples takes 1.3 s (fresh processes).
+# DFT basis an exhaustive word costs one letter, one copy into its block
+# and the two products that close it, each O(n) (0.09 us at n = 3, 0.9 us
+# at n = 101 and 11 us at n = 1001 on a 2-vCPU VM).  The cap admits every
+# run that a dense charge, (2n + 1)**2 per word, admits, and at n = 1001 up
+# to L = 13 (0.16 s, 32 MB peak RSS) or 8379 samples (0.5 s, 34 MB);
+# n = 101, L = 15 with 50000 samples takes 0.55 s.
 SCAN_MAX_WORK = 2**24
 # The largest n lemmas admits.  lemma_report streams the powers in blocks
 # of O(n) memory and costs O(n**2 log n): on a 2-vCPU VM `lemmas --n 3001`

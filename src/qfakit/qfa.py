@@ -21,19 +21,20 @@ the rest; it keeps each letter's eigenvalues and steps the counter
 amplitudes in the DFT basis, so a letter is one elementwise product and
 the right marker two sums per row, with no inverse FFT.
 
-The simulators read a machine only through its input_alphabet and three
+The simulators read a machine only through its input_alphabet and four
 steps: _start() gives its row after the left marker, _apply(rows,
-letters) feeds each row a letter, and _close(rows) applies the right
-marker and totals (p_acc, p_rej, p_res).  Rows are opaque to them; a
-QfaSpec, the only machine that halts mid-word, banks its accept and
-reject weights in two trailing entries of each row.  run() steps one
-row; _run_codes(), the batch kernel of run_many() and scan, steps words
-given as letter codes column by column, longest first; accept_all_words()
-walks the prefix tree of every word up to a length, so each prefix is
-stepped once.  The batched simulators step at most BLOCK_ROWS rows at a
-time, which keeps their memory flat however many words they are given.
-Each simulator checks that accept + reject + residual stays 1 within
-CONSERVATION_TOL.
+letters) feeds each row a letter, _children(rows) feeds each row every
+letter, and _close(rows) applies the right marker and totals (p_acc,
+p_rej, p_res).  Rows are opaque to them; a QfaSpec, the only machine
+that halts mid-word, banks its accept and reject weights in two trailing
+entries of each row.  run() steps one row; _run_codes(), the batch
+kernel of run_many() and scan, steps words given as letter codes column
+by column, longest first; accept_all_words() walks the prefix tree of
+every word up to a length, so each prefix is stepped once, and closes
+several levels of it at once.  The batched simulators hold at most about
+BLOCK_ENTRIES row entries in a block, which keeps their memory flat
+however many words they are given.  Each simulator checks that accept +
+reject + residual stays 1 within CONSERVATION_TOL.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ RIGHT_MARKER = "$"
 UNITARY_TOL = 1e-9
 CONSERVATION_TOL = 1e-9
 
-# Rows per block in the batched simulators.  Larger blocks ran no faster on
-# a dense QfaSpec or the DFT-basis machine and held more memory: scan at
-# n = 1001 peaked at 40 MB with 128 rows and 97 MB with 1024 (1.15 vs 1.84 s).
-BLOCK_ROWS = 128
+# Row entries per block in the batched simulators, BLOCK_ENTRIES // width
+# rows: a row is n entries in the DFT basis and 2n + 3 on a dense QfaSpec.
+# At n = 1001 a scan of 8379 samples took 0.46 s and 34 MB peak RSS with
+# 2**15 entries (32 rows), 0.76 s and 40 MB with 2**17; 2**14 and 2**16
+# were no faster at n = 3, 21, 101 or 1001.
+BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +137,14 @@ class QfaSpec:
             hit = letters == k
             phi[hit] = rows[hit, :-2] @ matrix
         return _observe(self, phi, rows[:, -2:])
+
+    def _children(self, rows: np.ndarray) -> np.ndarray:
+        """Row i * len(input_alphabet) + k is row i followed by letter k, observed."""
+        fan_out = len(self._letter_matrices)
+        phi = np.empty((len(rows), fan_out, self.dim), dtype=complex)
+        for k, matrix in enumerate(self._letter_matrices):
+            phi[:, k] = rows[:, :-2] @ matrix
+        return _observe(self, phi.reshape(-1, self.dim), np.repeat(rows[:, -2:], fan_out, axis=0))
 
     def _close(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Apply the right marker to rows and total their outcomes.
@@ -251,17 +262,31 @@ class DiagonalQfa:
         # Counter 0 transforms to all ones.
         return np.ones(self.counters, dtype=complex)
 
+    # Nothing halts mid-word, so a letter is one elementwise product, always
+    # eigenvalues times row: numpy rounds a complex product by the order of
+    # its operands, and takes `rows * gathered` in place in a large gathered
+    # temporary, in the other order.
+
     def _apply(self, rows: np.ndarray, letters) -> np.ndarray:
-        # One gathered elementwise product; nothing halts mid-word.
-        return rows * self._table[letters]
+        # letters: one per row, or one int for one row.  The product is written
+        # into the gathered copy, as a fresh block-sized result costs more.
+        factors = self._table.take(letters, axis=0)
+        return np.multiply(factors, rows, out=factors)
+
+    def _children(self, rows: np.ndarray) -> np.ndarray:
+        # Row i * len(input_alphabet) + k is row i followed by letter k.
+        return (self._table * rows[:, None, :]).reshape(-1, self.counters)
 
     def _close(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Every counter halts, so nothing is left over.  Counter 0 is the mean
         # of a transformed row and, by Parseval, all counters hold the mean of
         # |row|^2; the clamp keeps a member's p_reject from rounding below 0.
-        accept = np.abs(rows.sum(axis=-1) / self.counters) ** 2
-        reject = np.maximum((np.abs(rows) ** 2).sum(axis=-1) / self.counters - accept, 0.0)
-        return accept, reject, np.zeros(rows.shape[:-1])
+        # The sums are einsum products, which total each row alone; a BLAS
+        # product would round a row by the block it sits in.
+        accept = np.abs(np.einsum("...i->...", rows) / self.counters) ** 2
+        parts = rows.view(float)
+        reject = np.einsum("...i,...i->...", parts, parts) / self.counters
+        return accept, np.maximum(reject - accept, 0.0), np.zeros(rows.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -422,21 +447,24 @@ def _run_codes(spec: Machine, letters: np.ndarray, lengths: np.ndarray) -> np.nd
     """Rows of (accept, reject, residual) for words given as letter codes.
 
     Word i is letters[i, :lengths[i]], indices into spec.input_alphabet;
-    later entries are ignored.  The words are stepped longest first,
-    BLOCK_ROWS at a time as the rows of one matrix: column t feeds letter
-    t to the rows whose word is longer than t, which lead, and copies the
-    rows whose word has length t aside; each block is closed at once.
+    later entries are ignored.  The words are stepped longest first, a
+    block of BLOCK_ENTRIES row entries at a time as the rows of one
+    matrix: column t feeds letter t to the rows whose word is longer than
+    t, which lead, and copies the rows whose word has length t aside;
+    each block is closed at once.
     Raises ValueError naming the first word, in input order, whose
     outcomes do not sum to 1 within CONSERVATION_TOL.
     """
     out = np.empty((len(lengths), 3))
     order = np.argsort(-lengths, kind="stable")
-    for lo in range(0, len(order), BLOCK_ROWS):
-        rows = order[lo : lo + BLOCK_ROWS]
+    start = spec._start()
+    block = max(1, BLOCK_ENTRIES // len(start))
+    for lo in range(0, len(order), block):
+        rows = order[lo : lo + block]
         codes = letters[rows]
         # active[t] rows have a letter t; the lengths descend.
         active = np.searchsorted(-lengths[rows], -np.arange(lengths[rows[0]] + 1)).tolist()
-        psi = np.tile(spec._start(), (len(rows), 1))
+        psi = np.tile(start, (len(rows), 1))
         ended = np.empty_like(psi)
         for t, (now, live) in enumerate(zip(active, [len(rows)] + active)):
             ended[now:live] = psi[now:live]
@@ -475,11 +503,15 @@ def accept_all_words(spec: Machine, max_len: int) -> list[np.ndarray]:
 
     Entry L holds the words of length L in lexicographic order (the
     order of itertools.product over the alphabet).  The prefix tree is
-    walked depth first by recursion, one level per letter, on blocks of
-    rows, so each prefix is stepped once and no block has more than
-    BLOCK_ROWS rows.  The children of a contiguous run of parents are a
-    contiguous run of indices one level down, so each block writes its
-    results in place; words are never spelled out, except to name in
+    walked depth first by recursion on blocks, so each prefix is stepped
+    once.  A block grows from a run of parents one level at a time, each
+    level every row of the one before followed by every letter, while
+    all of its levels fit in BLOCK_ENTRIES row entries; then all of its
+    rows are closed at once, and the walk goes on from runs of its
+    deepest level, each as many parents as can grow every level left in
+    one block, or else one.  The children of a contiguous run of parents
+    are a contiguous run of indices one level down, so each level writes
+    its results in place; words are never spelled out, except to name in
     ValueError the first word, in that order, whose outcomes do not sum
     to 1 within CONSERVATION_TOL.
     """
@@ -487,27 +519,38 @@ def accept_all_words(spec: Machine, max_len: int) -> list[np.ndarray]:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     alphabet = spec.input_alphabet
     fan_out = len(alphabet)
-    parents_per_block = max(1, BLOCK_ROWS // max(fan_out, 1))  # an empty alphabet spells only ""
+    start = spec._start()[None, :]
+    block_rows = max(1, BLOCK_ENTRIES // start.shape[1])
     probs = [np.empty(fan_out**length) for length in range(max_len + 1)]
     # (length, lex index, accept + reject + residual) of unconserved words
     bad: list[tuple[int, int, float]] = []
 
     def walk(length: int, lo: int, psi: np.ndarray) -> None:
         # psi holds the rows of the words lo, lo + 1, ... of this length.
-        p_acc, p_rej, p_res = spec._close(psi)
-        probs[length][lo : lo + len(psi)] = p_acc
+        levels, size = [psi], len(psi)
+        while length + len(levels) <= max_len and size + len(levels[-1]) * fan_out <= block_rows:
+            levels.append(spec._children(levels[-1]))
+            size += len(levels[-1])
+        p_acc, p_rej, p_res = spec._close(np.concatenate(levels))
         i = _first_unconserved(p_acc, p_rej, p_res)
-        if i is not None:
-            bad.append((length, lo + i, float(p_acc[i] + p_rej[i] + p_res[i])))
+        at = 0
+        for depth, rows in enumerate(levels):
+            first = lo * fan_out**depth
+            probs[length + depth][first : first + len(rows)] = p_acc[at : at + len(rows)]
+            if i is not None and at <= i < at + len(rows):
+                bad.append((length + depth, first + i - at, float(p_acc[i] + p_rej[i] + p_res[i])))
+            at += len(rows)
+        length, lo, psi = length + depth, first, rows
+        del levels, p_acc, p_rej, p_res  # only the deepest level is held below
         if length == max_len:
             return
-        for c in range(0, len(psi), parents_per_block):
-            # Row i * fan_out + s is parent row i followed by letter s.
-            rows = np.repeat(psi[c : c + parents_per_block], fan_out, axis=0)
-            letters = np.arange(len(rows)) % fan_out
-            walk(length + 1, (lo + c) * fan_out, spec._apply(rows, letters))
+        # As many parents as grow every level left in one block, or else one.
+        below = sum(fan_out**k for k in range(1, max_len - length + 1))
+        parents = max(1, block_rows // max(below, 1))
+        for c in range(0, len(psi), parents):
+            walk(length + 1, (lo + c) * fan_out, spec._children(psi[c : c + parents]))
 
-    walk(0, 0, spec._start()[None, :])
+    walk(0, 0, start)
     if bad:
         length, index, total = min(bad)
         raise _unconserved(_spell(alphabet, length, index), total)

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfakit import cli
+from qfakit import cli, qfa
 from qfakit.divisibility import build_diagonal_qfa, build_qfa, is_member
 from qfakit.qfa import (
-    BLOCK_ROWS,
     LEFT_MARKER,
     RIGHT_MARKER,
+    DiagonalQfa,
     QfaSpec,
     RunResult,
     _run_codes,
@@ -347,6 +347,11 @@ KERNEL_SPECS = {
 }
 
 
+def _block_rows(patch, spec, rows):
+    # Sets qfa.BLOCK_ENTRIES so that a block of spec's rows holds `rows`.
+    patch.setattr(qfa, "BLOCK_ENTRIES", rows * len(spec._start()))
+
+
 def _assert_close(result, expected, tol=1e-12):
     got = (result.p_accept, result.p_reject, result.p_residual)
     assert max(abs(g - e) for g, e in zip(got, expected)) <= tol, (got, expected)
@@ -376,12 +381,13 @@ def test_run_sampled_ends_on_the_residual_left_after_the_right_marker():
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
-def test_run_many_matches_projector_oracle(name):
+def test_run_many_matches_projector_oracle(name, monkeypatch):
     spec = KERNEL_SPECS[name]
     rng = random.Random(name)
     # Mixed lengths, the empty word twice, and more words than one block.
+    _block_rows(monkeypatch, spec, 128)
     words = ["", "a", "b", "ab", "ba", "aab", ""]
-    words += [random_word(rng, 25) for _ in range(BLOCK_ROWS + 60)]
+    words += [random_word(rng, 25) for _ in range(128 + 60)]
     results = run_many(spec, words)
     assert len(results) == len(words)
     for word, result in zip(words, results):
@@ -401,7 +407,7 @@ def test_run_many_checks_every_word():
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 def test_accept_all_words_matches_projector_oracle(name):
     spec = KERNEL_SPECS[name]
-    max_len = 8  # 256 words of length 8: two blocks at the deepest level
+    max_len = 8
     probs = accept_all_words(spec, max_len)
     assert [len(level) for level in probs] == [2**k for k in range(max_len + 1)]
     for length, level in enumerate(probs):
@@ -424,12 +430,12 @@ def test_accept_all_words_zero_length_and_bad_length():
         accept_all_words(build_qfa(3), -1)
 
 
-def test_accept_all_words_on_an_empty_alphabet():
+def _empty_alphabet_spec():
     # The right marker turns q0 by 0.6 rad: p("") = sin(0.6)**2 is banked
-    # on acc and the rest left on q0.  No letter, so only "" has a result.
+    # on acc and the rest left on q0.
     c, s = math.cos(0.6), math.sin(0.6)
     marker = np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]], dtype=complex)
-    spec = QfaSpec(
+    return QfaSpec(
         states=("q0", "acc", "rej"),
         input_alphabet=(),
         start="q0",
@@ -437,11 +443,66 @@ def test_accept_all_words_on_an_empty_alphabet():
         rejecting=frozenset({"rej"}),
         unitaries={LEFT_MARKER: np.eye(3), RIGHT_MARKER: marker},
     )
+
+
+def test_accept_all_words_on_an_empty_alphabet():
+    # No letter, so only "" has a result.
+    spec = _empty_alphabet_spec()
     assert validate(spec) == []
-    assert run(spec, "").p_accept == pytest.approx(s * s, abs=1e-15)
+    assert run(spec, "").p_accept == pytest.approx(math.sin(0.6) ** 2, abs=1e-15)
     probs = accept_all_words(spec, 3)
     assert [p.shape for p in probs] == [(1,), (0,), (0,), (0,)]
     assert probs[0][0] == run(spec, "").p_accept
+
+
+@pytest.mark.parametrize("n", [3, 21, 101])
+def test_accept_all_words_is_run_bit_for_bit(n):
+    spec = build_diagonal_qfa(n)
+    probs = accept_all_words(spec, 8)
+    for length, level in enumerate(probs):
+        words = ("".join(letters) for letters in product("ab", repeat=length))
+        assert level.tolist() == [run(spec, word).p_accept for word in words], length
+
+
+WALK_MACHINES = {"diagonal21": build_diagonal_qfa(21), **HALTING}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MACHINES))
+def test_accept_all_words_does_not_depend_on_the_blocks(name, monkeypatch):
+    spec = WALK_MACHINES[name]
+    whole = accept_all_words(spec, 8)
+    closed = []
+    close = type(spec)._close
+
+    def counted(self, rows):
+        closed.append(len(rows))
+        return close(self, rows)
+
+    monkeypatch.setattr(type(spec), "_close", counted)
+    _block_rows(monkeypatch, spec, 8)
+    blocks = accept_all_words(spec, 8)
+    # Levels 0-2 (7 rows) share the first block; below it one parent grows
+    # two levels (6 rows) per block, so each level splits across blocks.
+    assert closed == [7] + [6] * (4 + 16 + 64)
+    for length, (got, want) in enumerate(zip(blocks, whole)):
+        assert got.tolist() == want.tolist(), length
+
+
+@pytest.mark.parametrize("name", ["n3", "partial", "diagonal5"])
+def test_children_are_every_row_followed_by_every_letter(name):
+    spec = CODE_MACHINES[name]
+    fan_out = len(spec.input_alphabet)
+    rows = spec._children(spec._children(spec._children(spec._start()[None, :])))
+    assert len(rows) == 8
+    repeated = np.repeat(rows, fan_out, axis=0)
+    want = spec._apply(repeated, np.arange(len(repeated)) % fan_out)
+    assert np.array_equal(spec._children(rows), want)
+
+
+def test_children_on_an_empty_alphabet_are_no_rows():
+    spec = _empty_alphabet_spec()
+    rows = spec._children(np.stack([spec._start()] * 3))
+    assert rows.shape == (0, spec.dim + 2)
 
 
 _words = st.lists(st.text(alphabet="ab", max_size=30), max_size=40)
@@ -482,10 +543,12 @@ def _codes(words, width=None, fill=None):
     name=st.sampled_from(sorted(CODE_MACHINES)),
 )
 def test_run_codes_equals_run(words, copies, name):
-    # Repeats tie lengths, and up to 186 words span two blocks.
+    # Repeats tie lengths, and up to 186 words span three blocks.
     spec = CODE_MACHINES[name]
     batch = (words + [""]) * copies
-    out = _run_codes(spec, *_codes(batch))
+    with pytest.MonkeyPatch.context() as patch:
+        _block_rows(patch, spec, 64)
+        out = _run_codes(spec, *_codes(batch))
     assert out.shape == (len(batch), 3)
     single = {w: run(spec, w) for w in set(batch)}
     for word, row in zip(batch, out):
@@ -493,10 +556,11 @@ def test_run_codes_equals_run(words, copies, name):
 
 
 @pytest.mark.parametrize("name", sorted(CODE_MACHINES))
-def test_run_codes_ignores_codes_past_each_word(name):
+def test_run_codes_ignores_codes_past_each_word(name, monkeypatch):
     spec = CODE_MACHINES[name]
     rng = np.random.default_rng(7)
-    words = [random_word(random.Random(i), 30) for i in range(BLOCK_ROWS + 50)] + [""]
+    _block_rows(monkeypatch, spec, 128)
+    words = [random_word(random.Random(i), 30) for i in range(128 + 50)] + [""]
     clean = _run_codes(spec, *_codes(words, width=35))
     noise = rng.integers(0, 2, size=(len(words), 35), dtype=np.uint8)
     assert np.array_equal(_run_codes(spec, *_codes(words, fill=noise)), clean)
@@ -524,13 +588,40 @@ def test_conservation_is_checked_by_every_simulator():
         accept_all_words(spec, 9)
 
 
+def _slow_leak(spec):
+    # Each 'a' scales the amplitudes by 1 + 1.5e-10, so the outcomes of a
+    # word sum to about 1 + 3e-10 per 'a': "aaaa" is the first word, in
+    # length-then-lexicographic order, off by more than 1e-9.
+    if isinstance(spec, DiagonalQfa):
+        return replace(spec, spectra={**spec.spectra, "a": spec.spectra["a"] * (1 + 1.5e-10)})
+    return replace(spec, unitaries={**spec.unitaries, "a": spec.unitaries["a"] * (1 + 1.5e-10)})
+
+
+@pytest.mark.parametrize("rows", [None, 8, 31])
+@pytest.mark.parametrize("name", ["n3", "diagonal5"])
+def test_accept_all_words_names_a_deep_first_unconserved_word(name, rows, monkeypatch):
+    # In blocks of 8 rows "aaaa" opens the first of two blocks of length 4;
+    # in blocks of 31 it lies in the deepest level of the first block.
+    # Longer words with four a's are unconserved too, in later blocks.
+    spec = _slow_leak(CODE_MACHINES[name])
+    if rows:
+        _block_rows(monkeypatch, spec, rows)
+    with pytest.raises(ValueError, match="not conserved on word 'aaaa'"):
+        accept_all_words(spec, 7)
+
+
 def test_run_codes_names_the_first_unconserved_word_in_input_order():
     # Stepped longest first, "abaa" is closed before "ba", but "ba" comes
     # first in the input; codes past each end spell no word.
-    spec = _leaky_spec()
     letters, lengths = _codes(["", "bb", "ba", "abaa", "a"], fill=np.ones((5, 6), dtype=np.uint8))
     with pytest.raises(ValueError, match="not conserved on word 'ba'"):
-        _run_codes(spec, letters, lengths)
+        _run_codes(_leaky_spec(), letters, lengths)
+
+
+def test_run_codes_names_the_first_unconserved_word_across_blocks(monkeypatch):
+    # In blocks of two rows "abaa" and "ba" are closed in different blocks.
+    _block_rows(monkeypatch, _leaky_spec(), 2)
+    test_run_codes_names_the_first_unconserved_word_in_input_order()
 
 
 def test_cli_exits_two_on_unconserved_probability(capsys, monkeypatch):
